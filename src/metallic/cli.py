@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 from itertools import islice
 
 import mpmath
@@ -21,7 +22,7 @@ import mpmath
 from .dimension import cantor_similarity, dimension
 from .errors import CapExceeded, ValidationError
 from .estimate import box_dimension, empirical_dimension
-from .fractal import FractalSpec, cover_summary, iter_cover_intervals
+from .fractal import FractalSpec, check_cover_cap, cover_summary, iter_cover_intervals
 from .limits import DEFAULT_BITS
 from .quadfield import MetallicParams, QuadElement
 from .render import MEAN_SYMBOLS, RenderPlan, render_construction, render_tiling_stack
@@ -51,6 +52,7 @@ def _start_float(start: QuadElement, bits: int) -> float:
     return float(start.to_mpf(bits))
 
 
+@lru_cache(maxsize=1024)
 def _length_float(params: MetallicParams, exponent: int, bits: int) -> float:
     with mpmath.workprec(bits):
         return float(mpmath.power(params.gamma_mpf(bits), -exponent))
@@ -280,6 +282,7 @@ def _cover_record(spec: FractalSpec, depth: int, index: int, iv, bits: int) -> d
 
 def cmd_cover(args: argparse.Namespace, out: io.TextIOBase) -> None:
     spec = _make_spec(args)
+    check_cover_cap(spec, args.depth, args.cap)
     intervals = iter_cover_intervals(spec, args.depth)
     if args.format == "json":
         out.write("[\n")
@@ -294,13 +297,7 @@ def cmd_cover(args: argparse.Namespace, out: io.TextIOBase) -> None:
     writer.writerow(COVER_COLUMNS)
     for index, iv in enumerate(intervals):
         rec = _cover_record(spec, args.depth, index, iv, args.bits)
-        writer.writerow((
-            rec["depth"], rec["index"], rec["kind_path"],
-            rec["start_c0_num"], rec["start_c0_den"],
-            rec["start_c1_num"], rec["start_c1_den"],
-            _g17(rec["start_float"]), rec["length_exponent"],
-            _g17(rec["length_float"]),
-        ))
+        writer.writerow(_g17(x) if isinstance(x, float) else x for x in rec.values())
 
 
 def cmd_estimate(args: argparse.Namespace, out: io.TextIOBase) -> None:

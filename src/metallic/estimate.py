@@ -9,25 +9,32 @@ Two independent estimators work straight from covers:
   materialized; gamma^(-m*t) is evaluated as exp(-m*t*log gamma) in working
   precision since m*t can reach a few hundred.
 
-* box counting: N(eps) over the grid [j*eps, (j+1)*eps). Counting is done on
-  a cover deep enough that every interval is at most eps wide - counting the
-  depth-k cover at a finer scale would measure the solid intervals (slope
-  pulled toward 1), not the limit set. Scales follow eps_k = gamma^(-n*k),
-  and the dimension is the least-squares slope of log N against log(1/eps).
+* box counting: N(eps) over the grid [j*eps, (j+1)*eps), counted exactly.
+  Every cover endpoint lies in Z[1/q][gamma], so the tree walker in
+  `fractal` hands them out as integer pairs and a grid index is the floor of
+  (A + B*sqrt(D))/M, settled with math.isqrt: an endpoint that falls exactly
+  on a grid point lands in the right box, and no floating point enters the
+  count. Counting is done on a cover deep enough that every interval is at
+  most eps wide - counting the depth-k cover at a finer scale would measure
+  the solid intervals (slope pulled toward 1), not the limit set. Scales
+  follow eps_k = gamma^(-n*k), so dividing by eps_k is multiplying by
+  gamma^(n*k) in Z[gamma], and the dimension is the least-squares slope of
+  log N against log(1/eps).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import numpy as np
 
-from .errors import CapExceeded
-from .fractal import FractalSpec, IntervalCover, _survivor_pattern
-from .limits import DEFAULT_BITS, resolve_cap
+from .fractal import FractalSpec, IntervalCover, _inv_powers, _walk, check_cover_cap
+from .limits import DEFAULT_BITS
+from .quadfield import gamma_pow
 
 
 def _multiset_sum(counts: dict[int, int], t, log_gamma: mpmath.mpf) -> mpmath.mpf:
@@ -90,56 +97,48 @@ def empirical_dimension(cover: IntervalCover, bits: int = DEFAULT_BITS) -> float
         return float((lo + hi) / 2)
 
 
-def _float_endpoints(cover: IntervalCover, bits: int) -> Iterator[tuple[mpmath.mpf, mpmath.mpf]]:
-    """Interval endpoints at `bits` precision, streamed in sorted order."""
-    if cover.intervals is not None:
-        for iv in cover.intervals:
-            start = iv.start.to_mpf(bits)
-            yield start, start + iv.length.to_mpf(bits)
-        return
-    yield from _walk_endpoints(cover.spec, cover.depth, bits)
+def _count_boxes(spec: FractalSpec, depth: int, scale: tuple[int, int], den: int) -> int:
+    """Unit boxes [j, j+1) met by the cover at `depth` times (s0 + s1*gamma)/den.
 
-
-def _walk_endpoints(spec: FractalSpec, depth: int, bits: int) -> Iterator[tuple[mpmath.mpf, mpmath.mpf]]:
-    """Depth-first float walk of the cover tree (error ~2^-bits per level)."""
-    pattern = [
-        (rel.to_mpf(bits), mpmath.power(spec.params.gamma_mpf(bits), -exp))
-        for rel, exp, _ in _survivor_pattern(spec)
-    ]
-
-    def walk(start, scale, remaining):
-        if remaining == 0:
-            yield start, start + scale
-            return
-        for rel_start, rel_len in pattern:
-            yield from walk(start + rel_start * scale, scale * rel_len, remaining - 1)
-
-    yield from walk(mpmath.mpf(0), mpmath.mpf(1), depth)
-
-
-def _count_boxes(endpoints: Iterable[tuple[mpmath.mpf, mpmath.mpf]], eps: mpmath.mpf) -> int:
-    """Distinct grid boxes [j*eps, (j+1)*eps) meeting the sorted intervals
-    (positive-length overlap, so [s,e) semantics)."""
-    total = 0
-    last = None
-    for s, e in endpoints:
-        j0 = int(mpmath.floor(s / eps))
-        j1 = int(mpmath.ceil(e / eps)) - 1
-        if last is not None and j0 <= last:
-            j0 = last + 1
-        if j1 >= j0:
-            total += j1 - j0 + 1
-            last = j1
+    Each endpoint is y/M with y = A + B*sqrt(D), integers A, B and M > 0, and
+    floor(y/M) = floor(floor(y)/M). With t = isqrt(B^2 D), floor(y) is A + t
+    for B >= 0 and A - t - 1 for B < 0 (A - t when D is a square). An interval
+    [s, e) meets boxes floor(s) .. ceil(e) - 1, and ceil(e) - 1 = floor(e)
+    unless e is an integer.
+    """
+    params = spec.params
+    p, D = params.p, params.D
+    irrational = params.rational_root is None
+    e_max = spec.n * depth
+    m = 2 * den * params.q**e_max
+    lengths = [(2 * l0 + p * l1, l1) for l0, l1 in _inv_powers(params, e_max, scale)]
+    total, last = 0, None
+    for u, v, e, _ in _walk(spec, depth, scale, paths=False):
+        a, b = 2 * u + p * v, v
+        t = isqrt(b * b * D)
+        j0 = (a + t) // m if b >= 0 else (a - t - irrational) // m
+        da, db = lengths[e]
+        a, b = a + da, b + db
+        t = isqrt(b * b * D)
+        j1 = (a + t - (b == 0 or not irrational)) // m if b >= 0 else (a - t - 1) // m
+        # sorted, disjoint intervals: j0 >= last, and only box `last` is shared
+        total += j1 - j0 + (j0 != last)
+        last = j1
     return total
 
 
 def box_count(cover: IntervalCover, eps, bits: int = DEFAULT_BITS) -> int:
-    """Number of eps-grid boxes intersecting the cover."""
-    with mpmath.workprec(bits):
-        eps_mpf = mpmath.mpf(eps)
-        if not 0 < eps_mpf < 1:
-            raise ValueError("eps must lie in (0, 1)")
-        return _count_boxes(_float_endpoints(cover, bits), eps_mpf)
+    """Number of eps-grid boxes [j*eps, (j+1)*eps) meeting the cover.
+
+    eps (int, float, Fraction or mpmath mpf) is used at its exact rational
+    value and the count is exact; bits is not needed for that and is ignored.
+    """
+    if isinstance(eps, mpmath.mpf):
+        eps = Fraction(eps.man) * Fraction(2) ** eps.exp
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
+    return _count_boxes(cover.spec, cover.depth, (eps.denominator, 0), eps.numerator)
 
 
 @dataclass(frozen=True)
@@ -160,42 +159,28 @@ class BoxCountFit:
     depths: tuple[int, ...]
 
 
-def _fit_depth(spec: FractalSpec, k: int) -> int:
-    """Cover depth whose widest interval is at most gamma^(-n*k)."""
-    return math.ceil(spec.n * k / (spec.n - 1))
-
-
 def box_dimension(spec: FractalSpec, k_max: int, cap: int | None = None,
                   bits: int = DEFAULT_BITS) -> BoxCountFit:
     """Least-squares box-counting estimate over eps_k = gamma^(-n*k), k=2..k_max.
 
-    residual is the RMS misfit of the fitted line; CapExceeded if the deepest
-    cover needed would exceed the enumeration cap.
+    Counts are exact (see box_count); residual is the slope's standard error
+    and rms_misfit the per-point misfit, as in BoxCountFit. CapExceeded if the
+    deepest cover needed would exceed the enumeration cap.
     """
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
-    limit = resolve_cap(cap)
-    na, nb = spec.survivor_counts
-    deepest = _fit_depth(spec, k_max)
-    if (na + nb) ** deepest > limit:
-        raise CapExceeded(
-            f"box fit needs a depth-{deepest} cover of {(na + nb) ** deepest} "
-            f"intervals, above cap {limit}"
-        )
-    log_inv_eps = []
-    log_counts = []
-    counts = []
-    depths = []
+    scales = range(2, k_max + 1)
+    # the shallowest covers whose widest interval is at most gamma^(-n*k)
+    depths = tuple(math.ceil(spec.n * k / (spec.n - 1)) for k in scales)
+    check_cover_cap(spec, depths[-1], cap)
+    # N(gamma^-nk) is the number of unit boxes the cover meets once scaled by gamma^nk
+    powers = (gamma_pow(spec.params, spec.n * k) for k in scales)
+    counts = tuple(_count_boxes(spec, depth, (int(g.c0), int(g.c1)), 1)
+                   for depth, g in zip(depths, powers))
     with mpmath.workprec(bits):
-        gamma = spec.params.gamma_mpf(bits)
-        for k in range(2, k_max + 1):
-            eps = mpmath.power(gamma, -spec.n * k)
-            depth = _fit_depth(spec, k)
-            n_boxes = _count_boxes(_walk_endpoints(spec, depth, bits), eps)
-            log_inv_eps.append(float(spec.n * k * mpmath.log(gamma)))
-            log_counts.append(math.log(n_boxes))
-            counts.append(n_boxes)
-            depths.append(depth)
+        log_gamma = mpmath.log(spec.params.gamma_mpf(bits))
+        log_inv_eps = [float(spec.n * k * log_gamma) for k in scales]
+    log_counts = [math.log(c) for c in counts]
     xs = np.asarray(log_inv_eps)
     ys = np.asarray(log_counts)
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -203,5 +188,4 @@ def box_dimension(spec: FractalSpec, k_max: int, cap: int | None = None,
     rms = float(np.sqrt(np.mean(misfit**2)))
     dof = len(xs) - 2
     slope_se = float(np.sqrt(np.sum(misfit**2) / dof / np.sum((xs - xs.mean()) ** 2)))
-    return BoxCountFit(float(slope), float(intercept), slope_se, rms,
-                       tuple(counts), tuple(depths))
+    return BoxCountFit(float(slope), float(intercept), slope_se, rms, counts, depths)

@@ -15,9 +15,11 @@ word positions so published figures can be reproduced exactly.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from math import comb
 from typing import Iterator
 
 from .errors import (
@@ -149,23 +151,14 @@ class IntervalCover:
     def exponent_counts(self) -> dict[int, int]:
         """Multiset of length exponents, {m: count of intervals gamma^-m}.
 
-        Tallied from the actual intervals when materialized; summary covers
-        use the k-fold product of the depth-1 multiset, which is the same
-        thing because every survivor is re-tiled with one fixed pattern.
+        Every survivor is re-tiled with one fixed pattern, so the multiset is
+        the k-fold product of the depth-1 one: i long and k - i short steps
+        give exponent (n-1)*i + n*(k-i).
         """
-        if self.intervals is not None:
-            return dict(Counter(iv.length_exponent for iv in self.intervals))
         na, nb = self.spec.survivor_counts
-        level = {self.spec.n - 1: na, self.spec.n: nb}
-        acc = {0: 1}
-        for _ in range(self.depth):
-            nxt: dict[int, int] = {}
-            for m1, c1 in acc.items():
-                for m2, c2 in level.items():
-                    if c2:
-                        nxt[m1 + m2] = nxt.get(m1 + m2, 0) + c1 * c2
-            acc = nxt
-        return acc
+        n, k = self.spec.n, self.depth
+        tally = {n * k - i: comb(k, i) * na**i * nb ** (k - i) for i in range(k + 1)}
+        return {m: c for m, c in tally.items() if c}
 
     def total_length(self) -> QuadElement:
         """Exact total length of the cover as a field element."""
@@ -177,47 +170,91 @@ class IntervalCover:
 
 
 @lru_cache(maxsize=128)
-def _survivor_pattern(spec: FractalSpec) -> tuple[tuple[QuadElement, int, str], ...]:
-    """Relative (start, length-exponent, kind letter) of each survivor."""
-    return tuple(
-        (t.start, t.length_exponent, t.kind.value) for t in survivors(spec)
-    )
+def _survivor_pattern(spec: FractalSpec) -> tuple[tuple[int, int, str], ...]:
+    """(long tiles before, short tiles before, letter) of each survivor: it
+    starts at longs * gamma^-(n-1) + shorts * gamma^-n in the interval it refines."""
+    word = word_at_step(spec.params, spec.n)
+    removed = removed_positions(spec)
+    longs = accumulate((letter == "a" for letter in word), initial=0)
+    return tuple((a, i - a, letter) for i, (a, letter) in enumerate(zip(longs, word))
+                 if i not in removed)
+
+
+def _inv_powers(params: MetallicParams, e_max: int,
+                scale: tuple[int, int] = (1, 0)) -> tuple[tuple[int, int], ...]:
+    """G[m] = (s0 + s1*gamma) * q^e_max * gamma^-m as integer pairs, m = 0..e_max.
+
+    1/gamma = (gamma - p)/q maps (u, v) to (v - p*u/q, u/q); q^(e_max - m)
+    divides G[m], so every division is exact.
+    """
+    p, q = params.p, params.q
+    g = [(scale[0] * q**e_max, scale[1] * q**e_max)]
+    for _ in range(e_max):
+        u, v = g[-1]
+        g.append((v - p * u // q, u // q))
+    return tuple(g)
+
+
+def _walk(spec: FractalSpec, depth: int, scale: tuple[int, int] = (1, 0),
+          paths: bool = True) -> Iterator[tuple[int, int, int, str]]:
+    """The cover at `depth` left to right, in integers: (u, v, exponent, path).
+
+    The interval starts at (u + v*gamma) / q^E, E = n*depth, times the scale
+    s0 + s1*gamma, and is gamma^-exponent long before scaling; path spells
+    the survivor letters that led to it ("" when paths is False). Depth-first
+    with an explicit stack, so depth is not bound by the recursion limit.
+    """
+    n = spec.n
+    g = _inv_powers(spec.params, n * depth, scale)
+    pattern = [(a, b, n - (letter == "a"), letter if paths else "")
+               for a, b, letter in _survivor_pattern(spec)]
+    children: dict[int, list[tuple[int, int, int, str]]] = {}  # by parent exponent
+    stack = [(0, 0, 0, "", depth)]
+    while stack:
+        u, v, e, path, left = stack.pop()
+        if left == 0:
+            yield u, v, e, path
+            continue
+        if e not in children:
+            (l0, l1), (h0, h1) = g[e + n - 1], g[e + n]
+            children[e] = [(a * l0 + b * h0, a * l1 + b * h1, e + x, letter)
+                           for a, b, x, letter in pattern]
+        if left == 1:
+            for du, dv, x, letter in children[e]:
+                yield u + du, v + dv, x, path + letter
+        else:
+            stack.extend([(u + du, v + dv, x, path + letter, left - 1)
+                          for du, dv, x, letter in reversed(children[e])])
+
+
+def _intervals(spec: FractalSpec, k: int) -> Iterator[CoverInterval]:
+    params = spec.params
+    den = params.q ** (spec.n * k)
+    for u, v, e, path in _walk(spec, k):
+        yield CoverInterval(QuadElement(Fraction(u, den), Fraction(v, den), params), e, path)
+
+
+def check_cover_cap(spec: FractalSpec, k: int, cap: int | None = None) -> None:
+    """Raise CapExceeded when the depth-k cover has more intervals than the cap."""
+    count, limit = IntervalCover(spec, k, None).count, resolve_cap(cap)
+    if count > limit:
+        raise CapExceeded(f"depth-{k} cover has {count} intervals, above cap {limit}")
 
 
 def refine(cover: IntervalCover) -> IntervalCover:
     """Replace every interval by the survivor pattern scaled into it."""
     if cover.intervals is None:
         raise ValidationError("refine needs a materialized cover")
-    pattern = _survivor_pattern(cover.spec)
-    params = cover.spec.params
-    out = []
-    for iv in cover.intervals:
-        scale = gamma_pow(params, -iv.length_exponent)
-        for rel_start, rel_exp, letter in pattern:
-            out.append(
-                CoverInterval(
-                    iv.start + rel_start * scale,
-                    iv.length_exponent + rel_exp,
-                    iv.kind_path + letter,
-                )
-            )
-    return IntervalCover(cover.spec, cover.depth + 1, tuple(out))
+    return IntervalCover(cover.spec, cover.depth + 1,
+                         tuple(_intervals(cover.spec, cover.depth + 1)))
 
 
 def cover_at_depth(spec: FractalSpec, k: int, cap: int | None = None) -> IntervalCover:
     """Materialized depth-k cover (k-fold refinement of [0,1])."""
     if k < 0:
         raise ValueError("depth must be >= 0")
-    limit = resolve_cap(cap)
-    na, nb = spec.survivor_counts
-    if (na + nb) ** k > limit:
-        raise CapExceeded(
-            f"depth-{k} cover has {(na + nb) ** k} intervals, above cap {limit}"
-        )
-    cover = IntervalCover(spec, 0, (CoverInterval(spec.params.zero(), 0, ""),))
-    for _ in range(k):
-        cover = refine(cover)
-    return cover
+    check_cover_cap(spec, k, cap)
+    return IntervalCover(spec, k, tuple(_intervals(spec, k)))
 
 
 def cover_summary(spec: FractalSpec, k: int) -> IntervalCover:
@@ -231,25 +268,7 @@ def iter_cover_intervals(spec: FractalSpec, k: int) -> Iterator[CoverInterval]:
     """Stream the depth-k cover left to right without materializing it."""
     if k < 0:
         raise ValueError("depth must be >= 0")
-    pattern = _survivor_pattern(spec)
-    params = spec.params
-    rel_scales = {exp: gamma_pow(params, -exp) for _, exp, _ in pattern}
-
-    def walk(start: QuadElement, scale: QuadElement, exponent: int, path: str,
-             remaining: int) -> Iterator[CoverInterval]:
-        if remaining == 0:
-            yield CoverInterval(start, exponent, path)
-            return
-        for rel_start, rel_exp, letter in pattern:
-            yield from walk(
-                start + rel_start * scale,
-                scale * rel_scales[rel_exp],
-                exponent + rel_exp,
-                path + letter,
-                remaining - 1,
-            )
-
-    yield from walk(params.zero(), params.one(), 0, "", k)
+    return _intervals(spec, k)
 
 
 def gaps(cover: IntervalCover) -> tuple[tuple[QuadElement, QuadElement], ...]:
@@ -257,14 +276,7 @@ def gaps(cover: IntervalCover) -> tuple[tuple[QuadElement, QuadElement], ...]:
     if cover.intervals is None:
         raise ValidationError("gaps need a materialized cover")
     params = cover.spec.params
-    out = []
-    cursor = params.zero()
-    for iv in cover.intervals:
-        width = iv.start - cursor
-        if width.sign() > 0:
-            out.append((cursor, width))
-        cursor = iv.end
-    tail = params.one() - cursor
-    if tail.sign() > 0:
-        out.append((cursor, tail))
-    return tuple(out)
+    # a gap runs from one interval's end (or 0) to the next one's start (or 1)
+    ends = [params.zero(), *(iv.end for iv in cover.intervals)]
+    starts = [*(iv.start for iv in cover.intervals), params.one()]
+    return tuple((a, w) for a, b in zip(ends, starts) if (w := b - a).sign() > 0)

@@ -2,16 +2,20 @@
 
 import os
 
+from .errors import ValidationError
+
 DEFAULT_CAP = 10_000_000
 DEFAULT_BITS = 128
 RENDER_CAP = 10_000
 
 
 def resolve_cap(explicit: int | None = None) -> int:
-    """Effective enumeration cap: explicit value, else METALLIC_CAP, else the default."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("METALLIC_CAP")
-    if env is not None:
-        return int(env)
-    return DEFAULT_CAP
+    """Effective enumeration cap: explicit value, else METALLIC_CAP, else the default.
+
+    A negative cap is a ValidationError.
+    """
+    if explicit is None:
+        explicit = int(os.environ.get("METALLIC_CAP", DEFAULT_CAP))
+    if explicit < 0:
+        raise ValidationError(f"cap must be >= 0, got {explicit}")
+    return explicit

@@ -61,17 +61,17 @@ def iter_word_at_step(params: MetallicParams, n: int) -> Iterator[str]:
     if n < 0:
         raise ValueError("step index must be >= 0")
     image_a = "a" * params.p + "b" * params.q
-
-    def expand(letter: str, steps: int) -> Iterator[str]:
+    # depth-first over the substitution tree; an explicit stack of
+    # (letter, steps left) keeps deep words clear of the recursion limit
+    stack = [("b", n)]
+    while stack:
+        letter, steps = stack.pop()
         if steps == 0:
             yield letter
         elif letter == "b":
-            yield from expand("a", steps - 1)
+            stack.append(("a", steps - 1))
         else:
-            for child in image_a:
-                yield from expand(child, steps - 1)
-
-    yield from expand("b", n)
+            stack.extend((child, steps - 1) for child in reversed(image_a))
 
 
 def tile_counts(params: MetallicParams, n: int) -> CountVector:

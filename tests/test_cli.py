@@ -10,8 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from metallic import MetallicParams, QuadElement
+from metallic import MetallicParams, QuadElement, word_at_step, word_length
 from metallic.cli import main
+
+GOLDEN = MetallicParams(1, 1)
 
 
 def run_cli(*argv):
@@ -180,6 +182,41 @@ def test_exit_code_cap_exceeded(capsys):
     code = main(["tiling", "--p", "1", "--q", "1", "--n", "20", "--cap", "10"])
     assert code == 3
     assert "error" in capsys.readouterr().err
+
+
+class _NoOutput(io.StringIO):
+    def write(self, text):
+        raise AssertionError(f"wrote {text!r} before the argument checks")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cover_errors_before_first_row(fmt, monkeypatch, capsys):
+    argv = ["cover", "--p", "1", "--q", "1", "--n", "3", "--remove-short", "1",
+            "--format", fmt]
+    with redirect_stdout(_NoOutput()):
+        assert main([*argv, "--depth", "40", "--cap", "100"]) == 3
+        assert main([*argv, "--depth", "-1"]) == 2
+        monkeypatch.setenv("METALLIC_CAP", "100")
+        assert main([*argv, "--depth", "40"]) == 3
+    assert "cap" in capsys.readouterr().err
+
+
+def test_negative_cap_is_validation_error(monkeypatch, capsys):
+    assert main(["tiling", "--p", "1", "--q", "1", "--n", "3", "--cap", "-1"]) == 2
+    assert main(["cover", "--p", "1", "--q", "1", "--n", "3", "--depth", "1",
+                 "--cap", "-1"]) == 2
+    monkeypatch.setenv("METALLIC_CAP", "-1")
+    assert main(["tiling", "--p", "1", "--q", "1", "--n", "3"]) == 2
+    assert "cap must be >= 0" in capsys.readouterr().err
+
+
+def test_word_deep_step_streams():
+    code, out = run_cli("word", "--p", "1", "--q", "1", "--n", "1500", "--max-letters", "40")
+    assert code == 0
+    lines = out.splitlines()
+    # every golden step word is a prefix of the next one
+    assert lines[0] == word_at_step(GOLDEN, 12)[:40] + "..."
+    assert lines[1] == f"letters: {word_length(GOLDEN, 1500)}"
 
 
 def test_argparse_rejects_unknown_flag():

@@ -1,6 +1,7 @@
 """Cover-sum and box-counting estimators against the analytic dimension."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -135,6 +136,19 @@ def test_box_dimension_smoke():
     assert abs(fit.slope - d) < 0.1
     assert len(fit.box_counts) == 4
     assert fit.residual > 0 and fit.rms_misfit >= 0
+
+
+def test_box_counts_exact_on_grid_hits():
+    # silver (2,1,2,1,0) has cover endpoints exactly on grid points j*eps;
+    # the exact counts are one lower than a rounded floor gives (14/38/101/266)
+    assert box_dimension(SPEC_210, 5).box_counts == (13, 37, 100, 265)
+
+
+def test_box_count_deep_single_survivor():
+    # the depth-3000 cover is the single interval [1 - phi^-6000, 1]
+    cover = cover_summary(FractalSpec(GOLDEN, 2, 1, 0), 3000)
+    assert box_count(cover, 0.1) == 1
+    assert box_count(cover, Fraction(1, 3)) == 1
 
 
 def test_box_dimension_validation_and_cap():

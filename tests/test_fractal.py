@@ -130,12 +130,12 @@ def test_total_cover_length_closed_form(spec):
 
 @pytest.mark.parametrize("spec", TEST_SPECS)
 def test_multiset_is_kfold_product(spec):
-    # the materialized tally must equal the k-fold product of the depth-1
-    # multiset, which is what summary covers use
+    # the tally of the materialized intervals must equal the k-fold product
+    # of the depth-1 multiset, which is what exponent_counts returns
     for k in (0, 1, 2, 3, 4):
-        materialized = cover_at_depth(spec, k).exponent_counts()
-        summary = cover_summary(spec, k).exponent_counts()
-        assert materialized == summary
+        materialized = Counter(iv.length_exponent for iv in cover_at_depth(spec, k).intervals)
+        assert materialized == cover_summary(spec, k).exponent_counts()
+        assert materialized == cover_at_depth(spec, k).exponent_counts()
 
 
 def test_policy_independence_of_multiset():
@@ -162,6 +162,36 @@ def test_streaming_matches_materialized(spec):
             assert s.kind_path == m.kind_path
             assert s.length_exponent == m.length_exponent
             assert (s.start - m.start).sign() == 0
+
+
+def _reference_cover(spec, k):
+    """Depth-k cover by plain QuadElement recursion over the survivor tiles."""
+    if k == 0:
+        return [(spec.params.zero(), 0, "")]
+    out = []
+    for start, exponent, path in _reference_cover(spec, k - 1):
+        scale = gamma_pow(spec.params, -exponent)
+        for tile in survivors(spec):
+            out.append((start + tile.start * scale, exponent + tile.length_exponent,
+                        path + tile.kind.value))
+    return out
+
+
+@pytest.mark.parametrize("spec", TEST_SPECS)
+def test_streaming_matches_quadelement_recursion(spec):
+    for k in (0, 1, 2, 3, 4):
+        streamed = [(iv.start, iv.length_exponent, iv.kind_path)
+                    for iv in iter_cover_intervals(spec, k)]
+        assert streamed == _reference_cover(spec, k)
+
+
+def test_deep_single_survivor_cover_streams():
+    # W_2 = ab; dropping the long tile keeps [1/phi, 1], so the depth-k cover
+    # is the single interval [1 - phi^-2k, 1]
+    spec = FractalSpec(GOLDEN, 2, 1, 0)
+    (iv,) = iter_cover_intervals(spec, 3000)
+    assert iv.length_exponent == 6000 and iv.kind_path == "b" * 3000
+    assert (iv.start + gamma_pow(GOLDEN, -6000) - 1).sign() == 0
 
 
 def test_gaps_301_single_middle_gap():
