@@ -2,9 +2,13 @@
 
 Subcommands: word, tiling, dim, cover, estimate, render, table. Data goes to
 stdout (or --out), diagnostics to stderr. Exit codes: 0 success, 2 validation
-error, 3 enumeration cap exceeded. A key=value config file can preset any
-flag of the chosen subcommand; explicit flags win. METALLIC_CAP overrides the
-default enumeration cap.
+error, 3 enumeration cap exceeded, 141 stdout closed by its reader. A
+key=value config file can preset any flag of the chosen subcommand; explicit
+flags win. METALLIC_CAP overrides the default enumeration cap.
+
+The floats of tiling and cover rows are correctly rounded doubles of the
+exact values, computed from integers (`quadfield.to_double`); --bits sets only
+the mpmath precision of dim and estimate.
 """
 
 from __future__ import annotations
@@ -13,18 +17,17 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from functools import lru_cache
 from itertools import islice
-
-import mpmath
 
 from .dimension import cantor_similarity, dimension
 from .errors import CapExceeded, ValidationError
 from .estimate import box_dimension, empirical_dimension
 from .fractal import FractalSpec, check_cover_cap, cover_summary, iter_cover_intervals
 from .limits import DEFAULT_BITS
-from .quadfield import MetallicParams, QuadElement
+from .quadfield import MetallicParams, gamma_pow
 from .render import MEAN_SYMBOLS, RenderPlan, render_construction, render_tiling_stack
 from .substitution import iter_word_at_step, word_length
 from .tiling import tiling_at_step
@@ -48,14 +51,9 @@ def _g17(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _start_float(start: QuadElement, bits: int) -> float:
-    return float(start.to_mpf(bits))
-
-
 @lru_cache(maxsize=1024)
-def _length_float(params: MetallicParams, exponent: int, bits: int) -> float:
-    with mpmath.workprec(bits):
-        return float(mpmath.power(params.gamma_mpf(bits), -exponent))
+def _length_float(params: MetallicParams, exponent: int) -> float:
+    return float(gamma_pow(params, -exponent))
 
 
 def _parse_indices(text: str | None) -> tuple[int, ...] | None:
@@ -91,7 +89,7 @@ def _add_removal_flags(sub: argparse.ArgumentParser) -> None:
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output file (default stdout)")
     sub.add_argument("--bits", type=int, default=DEFAULT_BITS,
-                     help="working precision in bits")
+                     help="mpmath precision of dim/estimate in bits, >= 53")
     sub.add_argument("--cap", type=int, default=None,
                      help="enumeration cap (default METALLIC_CAP or 10^7)")
     sub.add_argument("--config", default=None,
@@ -225,15 +223,15 @@ def cmd_tiling(args: argparse.Namespace, out: io.TextIOBase) -> None:
                 i, tile.kind.value,
                 tile.start.c0.numerator, tile.start.c0.denominator,
                 tile.start.c1.numerator, tile.start.c1.denominator,
-                _g17(_start_float(tile.start, args.bits)),
+                _g17(float(tile.start)),
                 tile.length_exponent,
-                _g17(_length_float(params, tile.length_exponent, args.bits)),
+                _g17(_length_float(params, tile.length_exponent)),
             ))
     else:
         symbol = MEAN_SYMBOLS.get((args.p, args.q), "γ")
         out.write(f"step-{args.n} tiling for p={args.p}, q={args.q}\n")
         for i, tile in _tiling_rows(args):
-            start = _start_float(tile.start, args.bits)
+            start = float(tile.start)
             out.write(
                 f"{i:4d}  {tile.kind.value}  start = {tile.start}  "
                 f"≈ {start:.12f}  length = 1/{symbol}^{tile.length_exponent}\n"
@@ -265,7 +263,7 @@ def cmd_dim(args: argparse.Namespace, out: io.TextIOBase) -> None:
     out.write(json.dumps(payload) + "\n")
 
 
-def _cover_record(spec: FractalSpec, depth: int, index: int, iv, bits: int) -> dict:
+def _cover_record(spec: FractalSpec, depth: int, index: int, iv) -> dict:
     return {
         "depth": depth,
         "index": index,
@@ -274,9 +272,9 @@ def _cover_record(spec: FractalSpec, depth: int, index: int, iv, bits: int) -> d
         "start_c0_den": iv.start.c0.denominator,
         "start_c1_num": iv.start.c1.numerator,
         "start_c1_den": iv.start.c1.denominator,
-        "start_float": _start_float(iv.start, bits),
+        "start_float": float(iv.start),
         "length_exponent": iv.length_exponent,
-        "length_float": _length_float(spec.params, iv.length_exponent, bits),
+        "length_float": _length_float(spec.params, iv.length_exponent),
     }
 
 
@@ -287,7 +285,7 @@ def cmd_cover(args: argparse.Namespace, out: io.TextIOBase) -> None:
     if args.format == "json":
         out.write("[\n")
         for index, iv in enumerate(intervals):
-            rec = _cover_record(spec, args.depth, index, iv, args.bits)
+            rec = _cover_record(spec, args.depth, index, iv)
             if index:
                 out.write(",\n")
             out.write(json.dumps(rec))
@@ -296,7 +294,7 @@ def cmd_cover(args: argparse.Namespace, out: io.TextIOBase) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(COVER_COLUMNS)
     for index, iv in enumerate(intervals):
-        rec = _cover_record(spec, args.depth, index, iv, args.bits)
+        rec = _cover_record(spec, args.depth, index, iv)
         writer.writerow(_g17(x) if isinstance(x, float) else x for x in rec.values())
 
 
@@ -361,16 +359,27 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
+    if args.bits < 53:
+        print(f"error: --bits must be >= 53, got {args.bits}", file=sys.stderr)
+        return 2
     handler = DISPATCH[args.command]
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         handler(args, sink)
+        sink.flush()
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (`metallic cover ... | head`). Point stdout
+        # at devnull so the interpreter's final flush of what is still
+        # buffered does not fail again (the SIGPIPE note in the Python docs),
+        # and exit as a process killed by SIGPIPE would: 128 + 13.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     finally:
         if args.out:
             sink.close()

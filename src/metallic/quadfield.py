@@ -10,6 +10,19 @@ D = p^2 + 4q and compare A^2 against B^2*D when the two terms disagree in sign.
 When D happens to be a perfect square the mean is a rational integer (e.g.
 p=1, q=2 gives gamma=2) and sign questions are settled by plain rational
 evaluation; the same representation is used either way.
+
+Values are turned into floats from integers alone. Over a common denominator
+den, an element is (u + v*gamma)/den = (a + b*sqrt(D))/m with a = 2u + p*v,
+b = v and m = 2*den. math.isqrt gives the integer t = floor(|b|*sqrt(D)*2^k),
+so the value times m*2^k lies strictly between two consecutive integers lo and
+lo + 1 (strictly, because b*sqrt(D) is irrational for b != 0). The field norm
+a^2 - b^2*D is a nonzero integer and bounds the value away from zero even
+when a and b*sqrt(D) cancel, so k is chosen from bit lengths to make
+|lo| >= 2^bits at once. `to_double` returns lo/(m*2^k) once both ends of the
+bracket round to the same double (Python's int/int division is correctly
+rounded), widening k in the rare case that they do not; `to_mpf` rounds
+lo/(m*2^k) once at the requested precision. In the degenerate case the value
+is a plain rational and both round u + v*gamma over den exactly once.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import mpmath
+from mpmath.libmp import from_rational, round_nearest
 
 from .errors import ParamsMismatch
 
@@ -68,7 +82,8 @@ class MetallicParams:
 
     @cached_property
     def gamma_float(self) -> float:
-        return float(self.gamma_mpf(64))
+        """The mean as a correctly rounded double."""
+        return to_double(self, 0, 1, 1)
 
     def one(self) -> QuadElement:
         return QuadElement(1, 0, self)
@@ -206,19 +221,29 @@ class QuadElement:
     def is_zero(self) -> bool:
         return self.sign() == 0
 
+    def numerators(self) -> tuple[int, int, int]:
+        """(u, v, den) with value (u + v*gamma)/den; den is the least common
+        denominator of c0 and c1."""
+        d0, d1 = self.c0.denominator, self.c1.denominator
+        den = math.lcm(d0, d1)
+        return self.c0.numerator * (den // d0), self.c1.numerator * (den // d1), den
+
     def to_mpf(self, bits: int = 128) -> mpmath.mpf:
-        """Floating approximation with error at most 2^(1-bits) * max(1, |value|)."""
+        """The value rounded once to `bits` bits: relative error below 2^(1-bits),
+        however much c0 and c1*gamma cancel."""
         if bits < 53:
             raise ValueError("bits must be >= 53")
-        with mpmath.workprec(bits + 10):
-            root = (self.params.p + mpmath.sqrt(self.params.D)) / 2
-            return (
-                mpmath.mpf(self.c0.numerator) / self.c0.denominator
-                + mpmath.mpf(self.c1.numerator) / self.c1.denominator * root
-            )
+        u, v, den = self.numerators()
+        g = self.params.rational_root
+        if g is not None or v == 0:
+            num, scaled_den = u + v * (g or 0), den
+        else:
+            num, scaled_den = _bracket(self.params, u, v, den, bits + 4)
+        with mpmath.workprec(bits):
+            return mpmath.mpf(from_rational(num, scaled_den, bits, round_nearest))
 
     def __float__(self) -> float:
-        return float(self.to_mpf(64))
+        return to_double(self.params, *self.numerators())
 
     def __str__(self) -> str:
         return f"{self.c0} + {self.c1}*gamma"
@@ -237,3 +262,37 @@ def gamma_pow(params: MetallicParams, m: int) -> QuadElement:
     p, q = params.p, params.q
     recip = QuadElement(Fraction(-p, q), Fraction(1, q), params)
     return recip ** (-m)
+
+
+def _bracket(params: MetallicParams, u: int, v: int, den: int, bits: int) -> tuple[int, int]:
+    """(lo, M) with lo < (u + v*gamma)/den * M < lo + 1 and |lo| >= 2^bits.
+
+    Needs v != 0, den > 0 and gamma irrational. With a = 2u + p*v, m = 2*den
+    the value is (a + v*sqrt(D))/m, and M = m*2^k. Since
+    |a + v*sqrt(D)| = |a^2 - v^2*D| / |a - v*sqrt(D)|, the integer norm bounds
+    the value from below, and k is set from bit lengths to meet the 2^bits
+    target in one isqrt.
+    """
+    a, m = 2 * u + params.p * v, 2 * den
+    bb = v * v * params.D
+    norm_bits = (a * a - bb).bit_length()
+    sum_bits = max(a.bit_length(), (bb.bit_length() + 1) // 2) + 1  # > log2(|a| + |v|*sqrt(D))
+    # |value*m*2^k| > 2^(bits+1), so |lo| >= 2^bits
+    k = max(0, bits + 2 + sum_bits - norm_bits)
+    t = math.isqrt(bb << (2 * k))  # floor(|v|*sqrt(D)*2^k), never exact
+    lo = (a << k) + t if v > 0 else (a << k) - t - 1
+    return lo, m << k
+
+
+def to_double(params: MetallicParams, u: int, v: int, den: int) -> float:
+    """The correctly rounded double of (u + v*gamma)/den, for integers u, v and den > 0."""
+    g = params.rational_root
+    if g is not None or v == 0:
+        return (u + v * (g or 0)) / den
+    bits = 64
+    while True:
+        lo, scaled_den = _bracket(params, u, v, den, bits)
+        f = lo / scaled_den
+        if f == (lo + 1) / scaled_den:
+            return f
+        bits += 64  # the bracket straddles a rounding boundary: narrow it

@@ -9,13 +9,18 @@ deterministically, so identical inputs give byte-identical documents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import CapExceeded
-from .fractal import FractalSpec, cover_at_depth
+from .fractal import FractalSpec, _inv_powers, _walk, cover_at_depth  # noqa: F401
 from .limits import RENDER_CAP
-from .quadfield import MetallicParams
-from .substitution import tile_counts
-from .tiling import tiling_at_step
+from .quadfield import MetallicParams, to_double
+from .substitution import tile_counts, word_at_step
+from .tiling import start_numerators, tiling_at_step  # noqa: F401
+
+# Rows are laid out from integer numerators, not from tiling_at_step or
+# cover_at_depth; both names stay bound here because bench/spans.py wraps
+# them in this module when it traces a render.
 
 MEAN_SYMBOLS = {(1, 1): "φ", (2, 1): "δ", (3, 1): "σ", (1, 2): "α", (1, 3): "β"}
 TEX_SYMBOLS = {"φ": r"\phi", "δ": r"\delta", "σ": r"\sigma",
@@ -68,24 +73,35 @@ def _length_label(symbol: str, exponent: int) -> str:
 
 def _tiling_row(params: MetallicParams, n: int, label: str, plan: RenderPlan) -> _Row:
     symbol = _mean_symbol(params)
-    segs = []
-    for tile in tiling_at_step(params, n, cap=RENDER_CAP).tiles:
-        segs.append(_Segment(
-            float(tile.start), float(tile.end),
-            tile.kind.value if plan.show_letters else None,
-            _length_label(symbol, tile.length_exponent) if plan.show_lengths else None,
-        ))
+    word = word_at_step(params, n, cap=RENDER_CAP)
+    us, vs = start_numerators(params, n, word)
+    den = params.q**n
+    # tile i runs from boundary i to boundary i + 1; the last boundary is 1
+    xs = list(map(to_double, repeat(params), us, vs, repeat(den)))
+    exponents = {"a": n - 1, "b": n}
+    segs = [
+        _Segment(
+            x0, x1,
+            letter if plan.show_letters else None,
+            _length_label(symbol, exponents[letter]) if plan.show_lengths else None,
+        )
+        for letter, x0, x1 in zip(word, xs, xs[1:])
+    ]
     return _Row(label, tuple(segs))
 
 
 def _cover_row(spec: FractalSpec, k: int, label: str, plan: RenderPlan) -> _Row:
-    symbol = _mean_symbol(spec.params)
+    params = spec.params
+    symbol = _mean_symbol(params)
+    den = params.q ** (spec.n * k)
+    lengths = _inv_powers(params, spec.n * k)  # numerators of gamma^-e over den
     segs = []
-    for iv in cover_at_depth(spec, k, cap=RENDER_CAP).intervals:
+    for u, v, e, path in _walk(spec, k, paths=plan.show_letters):
+        du, dv = lengths[e]
         segs.append(_Segment(
-            float(iv.start), float(iv.end),
-            iv.kind_path[-1] if (plan.show_letters and iv.kind_path) else None,
-            _length_label(symbol, iv.length_exponent) if plan.show_lengths else None,
+            to_double(params, u, v, den), to_double(params, u + du, v + dv, den),
+            path[-1] if path else None,
+            _length_label(symbol, e) if plan.show_lengths else None,
         ))
     return _Row(label, tuple(segs))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import gc
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -71,25 +72,14 @@ def tiling_at_step(params: MetallicParams, n: int, cap: int | None = None) -> Ti
         return Tiling(params, 0, (Tile(TileKind.SHORT, params.zero(), 0),))
 
     word = word_at_step(params, n, cap=limit)
-    long_len = gamma_pow(params, -(n - 1))
-    short_len = gamma_pow(params, -n)
-    # Z[gamma] is closed under the gamma^2 rewrite, so gamma^-m has integer
-    # basis coordinates over q^m; accumulating integer numerators over the
-    # common denominator q^n avoids Fraction arithmetic per tile.
-    qn = params.q**n
-    step0 = {"a": int(long_len.c0 * qn), "b": int(short_len.c0 * qn)}
-    step1 = {"a": int(long_len.c1 * qn), "b": int(short_len.c1 * qn)}
     kinds = {"a": TileKind.LONG, "b": TileKind.SHORT}
     exponents = {"a": n - 1, "b": n}
-    coord = _Coordinates(qn)
+    coord = _Coordinates(params.q**n)
     # the per-letter work runs inside map/accumulate; only the constructors
     # (and coord's first sight of each numerator) execute Python code
-    starts = map(
-        QuadElement,
-        map(coord.__getitem__, accumulate(map(step0.__getitem__, word[:-1]), initial=0)),
-        map(coord.__getitem__, accumulate(map(step1.__getitem__, word[:-1]), initial=0)),
-        repeat(params),
-    )
+    us, vs = start_numerators(params, n, word[:-1])
+    starts = map(QuadElement, map(coord.__getitem__, us), map(coord.__getitem__, vs),
+                 repeat(params))
     # The tiles form no reference cycles, so the collections their allocations
     # would trigger free nothing and only rescan the objects built so far.
     gc_was_enabled = gc.isenabled()
@@ -102,6 +92,23 @@ def tiling_at_step(params: MetallicParams, n: int, cap: int | None = None) -> Ti
         if gc_was_enabled:
             gc.enable()
     return Tiling(params, n, tiles)
+
+
+def start_numerators(params: MetallicParams, n: int,
+                     letters: str) -> tuple[Iterator[int], Iterator[int]]:
+    """(us, vs): the point reached after the first i letters of a step-n
+    tiling is (us[i] + vs[i]*gamma)/q^n, for i = 0..len(letters).
+
+    us and vs are lazy running sums of the tile lengths. Z[gamma] is closed
+    under the gamma^2 rewrite, so gamma^-m has integer basis coordinates over
+    q^m, and no Fraction arithmetic is needed per tile.
+    """
+    qn = params.q**n
+    long_len, short_len = gamma_pow(params, -(n - 1)), gamma_pow(params, -n)
+    step0 = {"a": int(long_len.c0 * qn), "b": int(short_len.c0 * qn)}
+    step1 = {"a": int(long_len.c1 * qn), "b": int(short_len.c1 * qn)}
+    return (accumulate(map(step0.__getitem__, letters), initial=0),
+            accumulate(map(step1.__getitem__, letters), initial=0))
 
 
 class _Coordinates(dict):

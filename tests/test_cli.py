@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -249,3 +251,77 @@ def test_console_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout == "aba\n"
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def cli_process(*argv, **kwargs):
+    """Start `python -m metallic.cli argv` with this checkout's package first on the path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "metallic.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            **kwargs)
+
+
+LOW_BITS_ARGV = {
+    "word": ["word", "--n", "3"],
+    "tiling": ["tiling", "--n", "3"],
+    "dim": ["dim", "--n", "4", "--remove-long", "1", "--remove-short", "1"],
+    "cover": ["cover", "--n", "3", "--remove-short", "1", "--depth", "2"],
+    # the cover-sum bisection never closed its interval at 10 bits
+    "estimate": ["estimate", "--n", "4", "--remove-long", "1", "--remove-short", "1"],
+    "render": ["render", "--n", "3", "--remove-short", "1"],
+    "table": ["table"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOW_BITS_ARGV))
+def test_bits_below_53_rejected(command):
+    proc = cli_process(*LOW_BITS_ARGV[command], "--bits", "10")
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 2
+    assert out == ""
+    assert err == "error: --bits must be >= 53, got 10\n"
+
+
+@pytest.mark.parametrize("params, argv, expected", [
+    # one short survivor per level: the single depth-k row is gamma^-(n*k) long
+    (MetallicParams(1, 3), ["--n", "3", "--remove-long", "4", "--remove-short", "2",
+                            "--depth", "11"], "1.1109546628391328e-12"),  # exponent 33
+    (GOLDEN, ["--n", "2", "--remove-long", "1", "--depth", "43"], "1.0642972463423692e-18"),
+    (GOLDEN, ["--n", "2", "--remove-long", "1", "--depth", "58"], "5.7204965893146709e-25"),
+])
+@pytest.mark.parametrize("bits", ["53", "128"])
+def test_cover_floats_correctly_rounded_at_any_bits(params, argv, expected, bits):
+    code, out = run_cli("cover", "--p", str(params.p), "--q", str(params.q), *argv,
+                        "--bits", bits)
+    assert code == 0
+    (row,) = list(csv.DictReader(io.StringIO(out)))
+    assert row["length_float"] == expected
+    start = QuadElement(Fraction(int(row["start_c0_num"]), int(row["start_c0_den"])),
+                        Fraction(int(row["start_c1_num"]), int(row["start_c1_den"])), params)
+    assert float(row["start_float"]) == float(start) != 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "--n", "3", "--remove-short", "1", "--depth", "12"],
+    ["cover", "--n", "3", "--remove-short", "1", "--depth", "12", "--format", "json"],
+    ["tiling", "--n", "20"],
+])
+def test_closed_pipe_exits_quietly(argv):
+    proc = cli_process(*argv)
+    try:
+        head = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()  # the reader goes away, as `| head -3` does
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    assert all(head)
+    assert proc.returncode == 141
+    assert err == ""

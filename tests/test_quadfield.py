@@ -1,12 +1,16 @@
 """Exact field arithmetic, sign determination, and float conversion."""
 
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metallic import MetallicParams, ParamsMismatch, QuadElement, gamma_pow, metallic_sequence
+from metallic.quadfield import to_double
 
 GOLDEN = MetallicParams(1, 1)
 SILVER = MetallicParams(2, 1)
@@ -203,3 +207,81 @@ def test_to_mpf_rejects_low_precision():
 def test_float_conversion():
     assert abs(float(GOLDEN.gamma()) - 1.618033988749895) < 1e-15
     assert float(COPPER.gamma()) == 2.0
+
+
+def _rational(x: mpmath.mpf) -> Fraction:
+    man, exp = x.man_exp  # man is |mantissa|
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+def _within_relative(x: QuadElement, approx: Fraction, rel: Fraction) -> bool:
+    """|x - approx| <= rel*|x|, decided with exact signs."""
+    size = x if x.sign() > 0 else -x
+    return (size * rel - (x - approx)).sign() >= 0 and (size * rel + (x - approx)).sign() >= 0
+
+
+def test_float_survives_cancellation():
+    # c0 and c1*gamma of gamma^-60 agree to 25 digits; summing them at working
+    # precision used to give exactly 0.0
+    x = gamma_pow(GOLDEN, -60)
+    assert float(x) != 0.0
+    assert _is_correctly_rounded(x, float(x))
+
+
+@pytest.mark.parametrize("m", [80, 120, 200])
+@pytest.mark.parametrize("bits", [53, 128, 300])
+def test_to_mpf_bound_under_cancellation(m, bits):
+    x = gamma_pow(GOLDEN, -m)
+    assert _within_relative(x, _rational(x.to_mpf(bits)), Fraction(2) ** (1 - bits))
+
+
+def _is_correctly_rounded(x: QuadElement, f: float) -> bool:
+    """x lies between the midpoints from f to its two neighbouring doubles."""
+    lower = (Fraction(f) + Fraction(math.nextafter(f, -math.inf))) / 2
+    upper = (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2
+    return (x - lower).sign() >= 0 and (upper - x).sign() >= 0
+
+
+_params = st.builds(MetallicParams, st.integers(1, 5), st.integers(1, 5))
+_big = st.integers(-10**30, 10**30)
+
+
+@st.composite
+def _elements(draw):
+    params = draw(_params)
+    kind = draw(st.sampled_from(["coefficients", "power", "near-cancel"]))
+    if kind == "coefficients":
+        return QuadElement(Fraction(draw(_big), draw(st.integers(1, 10**30))),
+                           Fraction(draw(_big), draw(st.integers(1, 10**30))), params)
+    power = gamma_pow(params, -draw(st.integers(0, 200)))
+    if kind == "power":
+        return power * draw(st.sampled_from([1, -1, 3, Fraction(-7, 5)]))
+    # an integer combination of gamma^-m and gamma^-(m+1), most digits cancelling
+    other = gamma_pow(params, -draw(st.integers(0, 200)))
+    return power * draw(_big) + other * draw(st.integers(-3, 3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_elements())
+def test_float_is_correctly_rounded(x):
+    assert _is_correctly_rounded(x, float(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_elements(), st.integers(53, 400))
+def test_to_mpf_relative_bound(x, bits):
+    approx = _rational(x.to_mpf(bits))
+    if x.sign() == 0:
+        assert approx == 0
+    else:
+        assert _within_relative(x, approx, Fraction(2) ** (1 - bits))
+
+
+def test_to_double_on_integers():
+    # (u + v*gamma)/den straight from integers, as the CLI and renderer call it
+    assert to_double(GOLDEN, 0, 1, 1) == GOLDEN.gamma_float == 1.618033988749895
+    assert to_double(COPPER, 1, 1, 3) == 1.0  # gamma = 2: (1 + 2)/3
+    assert to_double(SILVER, 5, 0, 7) == 5 / 7
+    u, v, den = gamma_pow(SILVER, -40).numerators()
+    assert to_double(SILVER, u, v, den) == float(gamma_pow(SILVER, -40))
+    assert to_double(SILVER, u, v, den) != 0.0
