@@ -26,8 +26,8 @@ from .dimension import cantor_similarity, dimension
 from .errors import CapExceeded, ValidationError
 from .estimate import box_dimension, empirical_dimension
 from .fractal import FractalSpec, check_cover_cap, cover_summary, iter_cover_intervals
-from .limits import DEFAULT_BITS
-from .quadfield import MetallicParams, gamma_pow
+from .limits import DEFAULT_BITS, check_bits, resolve_cap
+from .quadfield import MetallicParams, QuadElement, gamma_pow
 from .render import MEAN_SYMBOLS, RenderPlan, render_construction, render_tiling_stack
 from .substitution import iter_word_at_step, word_length
 from .tiling import tiling_at_step
@@ -40,20 +40,31 @@ NAMED_MEANS = (
     ("nickel", 1, 3),
 )
 
-COVER_COLUMNS = (
-    "depth", "index", "kind_path",
+# the exact fields that tiling and cover rows share, in column order
+EXACT_COLUMNS = (
     "start_c0_num", "start_c0_den", "start_c1_num", "start_c1_den",
     "start_float", "length_exponent", "length_float",
 )
-
-
-def _g17(x: float) -> str:
-    return f"{x:.17g}"
+COVER_COLUMNS = ("depth", "index", "kind_path", *EXACT_COLUMNS)
 
 
 @lru_cache(maxsize=1024)
 def _length_float(params: MetallicParams, exponent: int) -> float:
     return float(gamma_pow(params, -exponent))
+
+
+def _exact_fields(params: MetallicParams, start: QuadElement, exponent: int) -> tuple:
+    """The EXACT_COLUMNS values of a tile or interval at `start`, gamma^-exponent long."""
+    return (start.c0.numerator, start.c0.denominator, start.c1.numerator,
+            start.c1.denominator, float(start), exponent, _length_float(params, exponent))
+
+
+def _write_csv(out: io.TextIOBase, header: tuple[str, ...], rows) -> None:
+    """CSV rows, every float written to 17 significant digits (enough to read it back)."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{x:.17g}" if isinstance(x, float) else x for x in row])
 
 
 def _parse_indices(text: str | None) -> tuple[int, ...] | None:
@@ -160,17 +171,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Expand --config FILE into flags inserted before the user's own flags."""
-    if "--config" not in argv:
+    """Expand --config FILE into flags inserted before the user's own flags.
+
+    A parser holding only the flags every subcommand shares finds --config
+    under each spelling a subcommand accepts (--config FILE, --config=FILE,
+    abbreviations such as --conf), since it resolves prefixes among the same
+    option strings; the full parse then checks the whole command line. Keys
+    that are not exactly a flag of the subcommand are skipped, so one file
+    can serve several subcommands.
+    """
+    if not argv or argv[0].startswith("-"):
+        return argv  # no subcommand: argparse reports it
+    finder = argparse.ArgumentParser(prog=f"{parser.prog} {argv[0]}", usage=argparse.SUPPRESS,
+                                     add_help=False, exit_on_error=False)
+    _add_common_flags(finder)
+    try:
+        path = finder.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:
+        return argv  # e.g. --config with no file: argparse reports it
+    if path is None:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        raise ValidationError("--config needs a file argument")
-    path = argv[at + 1]
-    rest = argv[:at] + argv[at + 2:]
-    if not rest:
-        raise ValidationError("--config requires a subcommand")
-    command = rest[0]
+    command, rest = argv[0], argv[1:]
     subactions = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
@@ -186,8 +207,8 @@ def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
             key, _, value = line.partition("=")
             flag = "--" + key.strip()
             if flag in known:
-                injected.extend([flag, value.strip()])
-    return [command, *injected, *rest[1:]]
+                injected.append(f"{flag}={value.strip()}")
+    return [command, *injected, *rest]
 
 
 def cmd_word(args: argparse.Namespace, out: io.TextIOBase) -> None:
@@ -202,40 +223,21 @@ def cmd_word(args: argparse.Namespace, out: io.TextIOBase) -> None:
         out.write(f"letters: {length}\n")
 
 
-def _tiling_rows(args: argparse.Namespace):
-    params = MetallicParams(args.p, args.q)
-    tiling = tiling_at_step(params, args.n, cap=args.cap)
-    for i, tile in enumerate(tiling.tiles):
-        yield i, tile
-
-
 def cmd_tiling(args: argparse.Namespace, out: io.TextIOBase) -> None:
     params = MetallicParams(args.p, args.q)
+    tiles = tiling_at_step(params, args.n, cap=args.cap).tiles
     if args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow((
-            "index", "kind",
-            "start_c0_num", "start_c0_den", "start_c1_num", "start_c1_den",
-            "start_float", "length_exponent", "length_float",
-        ))
-        for i, tile in _tiling_rows(args):
-            writer.writerow((
-                i, tile.kind.value,
-                tile.start.c0.numerator, tile.start.c0.denominator,
-                tile.start.c1.numerator, tile.start.c1.denominator,
-                _g17(float(tile.start)),
-                tile.length_exponent,
-                _g17(_length_float(params, tile.length_exponent)),
-            ))
-    else:
-        symbol = MEAN_SYMBOLS.get((args.p, args.q), "γ")
-        out.write(f"step-{args.n} tiling for p={args.p}, q={args.q}\n")
-        for i, tile in _tiling_rows(args):
-            start = float(tile.start)
-            out.write(
-                f"{i:4d}  {tile.kind.value}  start = {tile.start}  "
-                f"≈ {start:.12f}  length = 1/{symbol}^{tile.length_exponent}\n"
-            )
+        _write_csv(out, ("index", "kind", *EXACT_COLUMNS), (
+            (i, tile.kind.value, *_exact_fields(params, tile.start, tile.length_exponent))
+            for i, tile in enumerate(tiles)))
+        return
+    symbol = MEAN_SYMBOLS.get((args.p, args.q), "γ")
+    out.write(f"step-{args.n} tiling for p={args.p}, q={args.q}\n")
+    for i, tile in enumerate(tiles):
+        out.write(
+            f"{i:4d}  {tile.kind.value}  start = {tile.start}  "
+            f"≈ {float(tile.start):.12f}  length = 1/{symbol}^{tile.length_exponent}\n"
+        )
 
 
 def cmd_dim(args: argparse.Namespace, out: io.TextIOBase) -> None:
@@ -263,39 +265,21 @@ def cmd_dim(args: argparse.Namespace, out: io.TextIOBase) -> None:
     out.write(json.dumps(payload) + "\n")
 
 
-def _cover_record(spec: FractalSpec, depth: int, index: int, iv) -> dict:
-    return {
-        "depth": depth,
-        "index": index,
-        "kind_path": iv.kind_path,
-        "start_c0_num": iv.start.c0.numerator,
-        "start_c0_den": iv.start.c0.denominator,
-        "start_c1_num": iv.start.c1.numerator,
-        "start_c1_den": iv.start.c1.denominator,
-        "start_float": float(iv.start),
-        "length_exponent": iv.length_exponent,
-        "length_float": _length_float(spec.params, iv.length_exponent),
-    }
-
-
 def cmd_cover(args: argparse.Namespace, out: io.TextIOBase) -> None:
     spec = _make_spec(args)
     check_cover_cap(spec, args.depth, args.cap)
-    intervals = iter_cover_intervals(spec, args.depth)
-    if args.format == "json":
-        out.write("[\n")
-        for index, iv in enumerate(intervals):
-            rec = _cover_record(spec, args.depth, index, iv)
-            if index:
-                out.write(",\n")
-            out.write(json.dumps(rec))
-        out.write("\n]\n")
+    rows = ((args.depth, index, iv.kind_path,
+             *_exact_fields(spec.params, iv.start, iv.length_exponent))
+            for index, iv in enumerate(iter_cover_intervals(spec, args.depth)))
+    if args.format == "csv":
+        _write_csv(out, COVER_COLUMNS, rows)
         return
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(COVER_COLUMNS)
-    for index, iv in enumerate(intervals):
-        rec = _cover_record(spec, args.depth, index, iv)
-        writer.writerow(_g17(x) if isinstance(x, float) else x for x in rec.values())
+    out.write("[\n")
+    for index, row in enumerate(rows):
+        if index:
+            out.write(",\n")
+        out.write(json.dumps(dict(zip(COVER_COLUMNS, row))))
+    out.write("\n]\n")
 
 
 def cmd_estimate(args: argparse.Namespace, out: io.TextIOBase) -> None:
@@ -355,12 +339,17 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config(argv, parser)
-    except (OSError, ValidationError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
-    if args.bits < 53:
-        print(f"error: --bits must be >= 53, got {args.bits}", file=sys.stderr)
+    try:
+        check_bits(args.bits)
+        if args.cap is not None:
+            resolve_cap(args.cap)
+    except ValidationError as exc:
+        # both messages start with the name of the flag at fault
+        print(f"error: --{exc}", file=sys.stderr)
         return 2
     handler = DISPATCH[args.command]
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout

@@ -24,7 +24,7 @@ import mpmath
 
 from .errors import EmptyFractal
 from .fractal import FractalSpec
-from .limits import DEFAULT_BITS
+from .limits import DEFAULT_BITS, check_bits
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,7 @@ class DimensionReport:
 def dimension(spec: FractalSpec, bits: int = DEFAULT_BITS) -> DimensionReport:
     """Similarity dimension of the fractal (the Hausdorff value coincides:
     both derivations end at the same root equation)."""
+    check_bits(bits)
     poly = char_poly(spec)
     with mpmath.workprec(bits):
         root = positive_root(poly, bits)

@@ -19,7 +19,9 @@ Two independent estimators work straight from covers:
   the solid intervals (slope pulled toward 1), not the limit set. Scales
   follow eps_k = gamma^(-n*k), so dividing by eps_k is multiplying by
   gamma^(n*k) in Z[gamma], and the dimension is the least-squares slope of
-  log N against log(1/eps).
+  log N against log(1/eps) over k = 2..k_max, fitted with the standard
+  library's `statistics.linear_regression`: a handful of points needs no
+  array library.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from statistics import linear_regression
 
 import mpmath
-import numpy as np
 
 from .fractal import FractalSpec, IntervalCover, _inv_powers, _walk, check_cover_cap
-from .limits import DEFAULT_BITS
+from .limits import DEFAULT_BITS, check_bits
 from .quadfield import gamma_pow
 
 
@@ -55,6 +57,7 @@ class HausdorffSum:
 
 def hausdorff_sum(cover: IntervalCover, t: float, bits: int = DEFAULT_BITS) -> HausdorffSum:
     """Cover sum S_k(t) and the per-level factor Y(t)."""
+    check_bits(bits)
     if t < 0:
         raise ValueError("exponent t must be >= 0")
     spec = cover.spec
@@ -73,6 +76,7 @@ def empirical_dimension(cover: IntervalCover, bits: int = DEFAULT_BITS) -> float
     convention. A removal-free spec has total length 1 at every depth, giving
     exactly 1.
     """
+    check_bits(bits)
     if cover.depth < 1:
         raise ValueError("cover depth must be >= 1")
     spec = cover.spec
@@ -167,6 +171,7 @@ def box_dimension(spec: FractalSpec, k_max: int, cap: int | None = None,
     and rms_misfit the per-point misfit, as in BoxCountFit. CapExceeded if the
     deepest cover needed would exceed the enumeration cap.
     """
+    check_bits(bits)
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
     scales = range(2, k_max + 1)
@@ -179,13 +184,12 @@ def box_dimension(spec: FractalSpec, k_max: int, cap: int | None = None,
                    for depth, g in zip(depths, powers))
     with mpmath.workprec(bits):
         log_gamma = mpmath.log(spec.params.gamma_mpf(bits))
-        log_inv_eps = [float(spec.n * k * log_gamma) for k in scales]
-    log_counts = [math.log(c) for c in counts]
-    xs = np.asarray(log_inv_eps)
-    ys = np.asarray(log_counts)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    misfit = ys - (slope * xs + intercept)
-    rms = float(np.sqrt(np.mean(misfit**2)))
-    dof = len(xs) - 2
-    slope_se = float(np.sqrt(np.sum(misfit**2) / dof / np.sum((xs - xs.mean()) ** 2)))
-    return BoxCountFit(float(slope), float(intercept), slope_se, rms, counts, depths)
+        xs = [float(spec.n * k * log_gamma) for k in scales]
+    ys = [math.log(c) for c in counts]
+    slope, intercept = linear_regression(xs, ys)
+    sse = math.fsum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
+    x_mean = math.fsum(xs) / len(xs)
+    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
+    # the slope's standard error has len(xs) - 2 degrees of freedom
+    slope_se = math.sqrt(sse / (len(xs) - 2) / sxx)
+    return BoxCountFit(slope, intercept, slope_se, math.sqrt(sse / len(xs)), counts, depths)

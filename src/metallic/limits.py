@@ -6,6 +6,7 @@ from .errors import ValidationError
 
 DEFAULT_CAP = 10_000_000
 DEFAULT_BITS = 128
+MIN_BITS = 53
 RENDER_CAP = 10_000
 
 
@@ -19,3 +20,13 @@ def resolve_cap(explicit: int | None = None) -> int:
     if explicit < 0:
         raise ValidationError(f"cap must be >= 0, got {explicit}")
     return explicit
+
+
+def check_bits(bits: int) -> None:
+    """ValidationError for a working precision below a double's 53 bits.
+
+    Below it the reported floats carry fewer digits than they print, and the
+    1e-13 bisection of the cover-sum exponent never closes.
+    """
+    if bits < MIN_BITS:
+        raise ValidationError(f"bits must be >= {MIN_BITS}, got {bits}")

@@ -244,6 +244,25 @@ def test_config_file_defaults_and_override(tmp_path):
     assert (code, out) == (0, "aab\n")
 
 
+@pytest.mark.parametrize("spelling", [
+    ["--config", "{cfg}"], ["--config={cfg}"], ["--conf", "{cfg}"], ["--conf={cfg}"],
+])
+def test_config_file_any_spelling(tmp_path, spelling):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=2\nn=4\n")
+    flags = [part.format(cfg=cfg) for part in spelling]
+    assert run_cli("word", *flags) == (0, word_at_step(MetallicParams(2, 1), 4) + "\n")
+    # after an explicit flag too, which still wins
+    assert run_cli("word", "--n", "3", *flags) == (0, "aabaaba\n")
+
+
+def test_config_keys_of_other_subcommands_skipped(tmp_path):
+    # dim's --m and --r must not reach word's --max-letters by abbreviation
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n=4\nm=2\nr=3\ndepth=5\n")
+    assert run_cli("word", "--config", str(cfg)) == (0, "abaab\n")
+
+
 def test_console_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "metallic.cli", "word", "--p", "1", "--q", "1", "--n", "3"],
@@ -254,18 +273,19 @@ def test_console_entry_point_subprocess():
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# the environment of a child python that imports this checkout's package first
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def cli_process(*argv, **kwargs):
     """Start `python -m metallic.cli argv` with this checkout's package first on the path."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    return subprocess.Popen([sys.executable, "-m", "metallic.cli", *argv], env=env,
+    return subprocess.Popen([sys.executable, "-m", "metallic.cli", *argv], env=CHILD_ENV,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                             **kwargs)
 
 
-LOW_BITS_ARGV = {
+SUBCOMMAND_ARGV = {
     "word": ["word", "--n", "3"],
     "tiling": ["tiling", "--n", "3"],
     "dim": ["dim", "--n", "4", "--remove-long", "1", "--remove-short", "1"],
@@ -277,9 +297,9 @@ LOW_BITS_ARGV = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(LOW_BITS_ARGV))
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
 def test_bits_below_53_rejected(command):
-    proc = cli_process(*LOW_BITS_ARGV[command], "--bits", "10")
+    proc = cli_process(*SUBCOMMAND_ARGV[command], "--bits", "10")
     try:
         out, err = proc.communicate(timeout=60)
     finally:
@@ -287,6 +307,21 @@ def test_bits_below_53_rejected(command):
     assert proc.returncode == 2
     assert out == ""
     assert err == "error: --bits must be >= 53, got 10\n"
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+def test_negative_cap_rejected_by_every_subcommand(command, capsys):
+    with redirect_stdout(_NoOutput()):
+        assert main([*SUBCOMMAND_ARGV[command], "--cap", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --cap must be >= 0, got -1\n"
+
+
+def test_cli_import_leaves_out_numpy():
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, metallic.cli; print('numpy' in sys.modules)"],
+        env=CHILD_ENV, capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n")
 
 
 @pytest.mark.parametrize("params, argv, expected", [

@@ -1,7 +1,11 @@
 """Cover-sum and box-counting estimators against the analytic dimension."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -10,6 +14,7 @@ from metallic import (
     CapExceeded,
     FractalSpec,
     MetallicParams,
+    ValidationError,
     box_count,
     box_dimension,
     cover_at_depth,
@@ -161,3 +166,57 @@ def test_box_dimension_validation_and_cap():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         hausdorff_sum(cover_at_depth(SPEC_301, 1), -0.5)
+
+
+def _exact_least_squares(xs, ys):
+    """slope, intercept, slope standard error and rms misfit in exact rationals
+    (the two square roots taken in floats at the end)."""
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    n = len(xs)
+    x_mean, y_mean = sum(xs) / n, sum(ys) / n
+    sxx = sum((x - x_mean) ** 2 for x in xs)
+    slope = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sxx
+    intercept = y_mean - slope * x_mean
+    sse = sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
+    return slope, intercept, math.sqrt(sse / (n - 2) / sxx), math.sqrt(sse / n)
+
+
+@pytest.mark.parametrize("spec, k_max", [(SPEC_210, 7), (SPEC_411, 6)])
+def test_box_fit_matches_exact_least_squares(spec, k_max):
+    fit = box_dimension(spec, k_max)
+    with mpmath.workprec(128):
+        log_gamma = mpmath.log(spec.params.gamma_mpf(128))
+        xs = [float(spec.n * k * log_gamma) for k in range(2, k_max + 1)]
+    ys = [math.log(c) for c in fit.box_counts]
+    expected = _exact_least_squares(xs, ys)
+    got = (fit.slope, fit.intercept, fit.residual, fit.rms_misfit)
+    for name, value, exact in zip(("slope", "intercept", "residual", "rms_misfit"),
+                                  got, expected):
+        assert abs(value - exact) <= 1e-12 * abs(exact), name
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dimension(SPEC_411, bits=10),
+    lambda: hausdorff_sum(cover_summary(SPEC_411, 4), 0.5, bits=10),
+    lambda: box_dimension(SPEC_411, 5, bits=52),
+], ids=["dimension", "hausdorff_sum", "box_dimension"])
+def test_library_bits_below_53_rejected(call):
+    # at 10 bits dimension returned 0.6904296875 for the true 0.6922854...
+    with pytest.raises(ValidationError, match="bits must be >= 53"):
+        call()
+
+
+def test_empirical_dimension_bits_below_53_rejected_in_time():
+    # at 10 bits its 1e-13 bisection never closed, so run it where it can be
+    # stopped: a child process with a deadline
+    code = ("from metallic import FractalSpec, MetallicParams, cover_summary, "
+            "empirical_dimension\n"
+            "spec = FractalSpec(MetallicParams(1, 1), 4, 1, 1)\n"
+            "empirical_dimension(cover_summary(spec, 4), bits=10)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 1
+    assert "ValidationError: bits must be >= 53, got 10" in result.stderr
