@@ -6,31 +6,32 @@ error, 3 enumeration cap exceeded, 141 stdout closed by its reader. A
 key=value config file can preset any flag of the chosen subcommand; explicit
 flags win. METALLIC_CAP overrides the default enumeration cap.
 
-The floats of tiling and cover rows are correctly rounded doubles of the
-exact values, computed from integers (`quadfield.to_double`); --bits sets only
-the mpmath precision of dim and estimate.
+Tiling and cover rows are one format string each, filled from the integers of
+a start (u + v*gamma)/den: u/den and v/den in lowest terms and the correctly
+rounded double (`quadfield.to_double`). Only dim and estimate load mpmath;
+--bits sets its precision.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 from functools import lru_cache
 from itertools import islice
+from math import gcd
 
 from .dimension import cantor_similarity, dimension
 from .errors import CapExceeded, ValidationError
 from .estimate import box_dimension, empirical_dimension
 from .fractal import FractalSpec, check_cover_cap, cover_summary, iter_cover_intervals
 from .limits import DEFAULT_BITS, check_bits, resolve_cap
-from .quadfield import MetallicParams, QuadElement, gamma_pow
+from .quadfield import MetallicParams, gamma_pow, to_double
 from .render import MEAN_SYMBOLS, RenderPlan, render_construction, render_tiling_stack
 from .substitution import iter_word_at_step, word_length
-from .tiling import tiling_at_step
+from .tiling import Tile, tiling_at_step
 
 NAMED_MEANS = (
     ("golden", 1, 1),
@@ -46,6 +47,14 @@ EXACT_COLUMNS = (
     "start_float", "length_exponent", "length_float",
 )
 COVER_COLUMNS = ("depth", "index", "kind_path", *EXACT_COLUMNS)
+# Rows hold ints, finite floats and a/b strings, so these give the bytes of csv.writer
+# (floats to 17 significant digits, enough to read them back) and json.dumps.
+_EXACT_CSV = "{},{},{},{},{:.17g},{},{:.17g}\n"
+TILING_CSV_ROW = "{},{}," + _EXACT_CSV
+COVER_CSV_ROW = "{},{},{}," + _EXACT_CSV
+COVER_JSON_RECORD = ('{{"depth": {}, "index": {}, "kind_path": "{}", "start_c0_num": {}, '
+                     '"start_c0_den": {}, "start_c1_num": {}, "start_c1_den": {}, '
+                     '"start_float": {}, "length_exponent": {}, "length_float": {}}}')
 
 
 @lru_cache(maxsize=1024)
@@ -53,18 +62,20 @@ def _length_float(params: MetallicParams, exponent: int) -> float:
     return float(gamma_pow(params, -exponent))
 
 
-def _exact_fields(params: MetallicParams, start: QuadElement, exponent: int) -> tuple:
-    """The EXACT_COLUMNS values of a tile or interval at `start`, gamma^-exponent long."""
-    return (start.c0.numerator, start.c0.denominator, start.c1.numerator,
-            start.c1.denominator, float(start), exponent, _length_float(params, exponent))
+def _exact_fields(tile: Tile) -> tuple:
+    """The EXACT_COLUMNS values of a tile or cover interval."""
+    u, v, den, exponent = tile.u, tile.v, tile.den, tile.length_exponent
+    g0, g1 = gcd(u, den), gcd(v, den)
+    return (u // g0, den // g0, v // g1, den // g1, to_double(tile.params, u, v, den),
+            exponent, _length_float(tile.params, exponent))
 
 
-def _write_csv(out: io.TextIOBase, header: tuple[str, ...], rows) -> None:
-    """CSV rows, every float written to 17 significant digits (enough to read it back)."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{x:.17g}" if isinstance(x, float) else x for x in row])
+def _parse_extra(text: str) -> MetallicParams:
+    p_text, _, q_text = text.partition(",")
+    try:
+        return MetallicParams(int(p_text), int(q_text))
+    except ValueError:
+        raise ValidationError(f"--extra takes P,Q with integers P, Q >= 1, got {text!r}") from None
 
 
 def _parse_indices(text: str | None) -> tuple[int, ...] | None:
@@ -212,6 +223,8 @@ def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
 
 
 def cmd_word(args: argparse.Namespace, out: io.TextIOBase) -> None:
+    if args.max_letters < 0:
+        raise ValidationError(f"--max-letters must be >= 0, got {args.max_letters}")
     params = MetallicParams(args.p, args.q)
     length = word_length(params, args.n)
     letters = iter_word_at_step(params, args.n)
@@ -227,15 +240,15 @@ def cmd_tiling(args: argparse.Namespace, out: io.TextIOBase) -> None:
     params = MetallicParams(args.p, args.q)
     tiles = tiling_at_step(params, args.n, cap=args.cap).tiles
     if args.format == "csv":
-        _write_csv(out, ("index", "kind", *EXACT_COLUMNS), (
-            (i, tile.kind.value, *_exact_fields(params, tile.start, tile.length_exponent))
-            for i, tile in enumerate(tiles)))
+        out.write(",".join(("index", "kind", *EXACT_COLUMNS)) + "\n")
+        for i, tile in enumerate(tiles):
+            out.write(TILING_CSV_ROW.format(i, tile.kind_path, *_exact_fields(tile)))
         return
     symbol = MEAN_SYMBOLS.get((args.p, args.q), "γ")
     out.write(f"step-{args.n} tiling for p={args.p}, q={args.q}\n")
     for i, tile in enumerate(tiles):
         out.write(
-            f"{i:4d}  {tile.kind.value}  start = {tile.start}  "
+            f"{i:4d}  {tile.kind_path}  start = {tile.start}  "
             f"≈ {float(tile.start):.12f}  length = 1/{symbol}^{tile.length_exponent}\n"
         )
 
@@ -268,17 +281,16 @@ def cmd_dim(args: argparse.Namespace, out: io.TextIOBase) -> None:
 def cmd_cover(args: argparse.Namespace, out: io.TextIOBase) -> None:
     spec = _make_spec(args)
     check_cover_cap(spec, args.depth, args.cap)
-    rows = ((args.depth, index, iv.kind_path,
-             *_exact_fields(spec.params, iv.start, iv.length_exponent))
-            for index, iv in enumerate(iter_cover_intervals(spec, args.depth)))
+    intervals = enumerate(iter_cover_intervals(spec, args.depth))
     if args.format == "csv":
-        _write_csv(out, COVER_COLUMNS, rows)
+        out.write(",".join(COVER_COLUMNS) + "\n")
+        for index, iv in intervals:
+            out.write(COVER_CSV_ROW.format(args.depth, index, iv.kind_path, *_exact_fields(iv)))
         return
     out.write("[\n")
-    for index, row in enumerate(rows):
-        if index:
-            out.write(",\n")
-        out.write(json.dumps(dict(zip(COVER_COLUMNS, row))))
+    for index, iv in intervals:
+        out.write((",\n" if index else "") + COVER_JSON_RECORD.format(
+            args.depth, index, iv.kind_path, *_exact_fields(iv)))
     out.write("\n]\n")
 
 
@@ -311,11 +323,8 @@ def cmd_render(args: argparse.Namespace, out: io.TextIOBase) -> None:
 
 
 def cmd_table(args: argparse.Namespace, out: io.TextIOBase) -> None:
-    rows = [(name, p, q) for name, p, q in NAMED_MEANS]
-    for extra in args.extra:
-        p_text, _, q_text = extra.partition(",")
-        p, q = int(p_text), int(q_text)
-        rows.append((f"({p},{q})", p, q))
+    extras = [_parse_extra(text) for text in args.extra]
+    rows = [*NAMED_MEANS, *((f"({e.p},{e.q})", e.p, e.q) for e in extras)]
     out.write(f"{'name':<10} {'p':>3} {'q':>3}  {'symbol':<6} {'value':<14}\n")
     for name, p, q in rows:
         params = MetallicParams(p, q)
@@ -343,16 +352,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
+    # shared settings, checked before any output; each error names its setting
+    setting = "--"
     try:
         check_bits(args.bits)
         if args.cap is not None:
             resolve_cap(args.cap)
-    except ValidationError as exc:
-        # both messages start with the name of the flag at fault
-        print(f"error: --{exc}", file=sys.stderr)
+        setting = "METALLIC_CAP: "
+        args.cap = resolve_cap(args.cap)  # without --cap, the variable is read here, once
+        setting = "--out: "
+        sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except (ValidationError, ValueError, OSError) as exc:
+        print(f"error: {setting}{exc}", file=sys.stderr)
         return 2
     handler = DISPATCH[args.command]
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         handler(args, sink)
         sink.flush()

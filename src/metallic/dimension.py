@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import EmptyFractal
 from .fractal import FractalSpec
 from .limits import DEFAULT_BITS, check_bits
@@ -70,6 +68,7 @@ def positive_root(poly: CharPoly, bits: int = DEFAULT_BITS) -> mpmath.mpf:
     Bisection on rational points (exact signs) down to relative width 1e-15,
     then at most 5 Newton steps in working precision `bits`.
     """
+    import mpmath
     one = Fraction(1)
     if poly.eval_exact(one) == 0:
         # single survivor: x^n = x or x^n = 1, root exactly 1
@@ -92,6 +91,7 @@ def positive_root(poly: CharPoly, bits: int = DEFAULT_BITS) -> mpmath.mpf:
 
 
 def _newton_polish(poly: CharPoly, x0: Fraction, bits: int) -> mpmath.mpf:
+    import mpmath
     with mpmath.workprec(bits):
         x = mpmath.mpf(x0.numerator) / x0.denominator
         eps = mpmath.mpf(2) ** (5 - bits)
@@ -115,6 +115,7 @@ class DimensionReport:
 def dimension(spec: FractalSpec, bits: int = DEFAULT_BITS) -> DimensionReport:
     """Similarity dimension of the fractal (the Hausdorff value coincides:
     both derivations end at the same root equation)."""
+    import mpmath
     check_bits(bits)
     poly = char_poly(spec)
     with mpmath.workprec(bits):

@@ -32,8 +32,6 @@ from fractions import Fraction
 from math import isqrt
 from statistics import linear_regression
 
-import mpmath
-
 from .fractal import FractalSpec, IntervalCover, _inv_powers, _walk, check_cover_cap
 from .limits import DEFAULT_BITS, check_bits
 from .quadfield import gamma_pow
@@ -41,6 +39,7 @@ from .quadfield import gamma_pow
 
 def _multiset_sum(counts: dict[int, int], t, log_gamma: mpmath.mpf) -> mpmath.mpf:
     """sum count_m * gamma^(-m*t) over the exponent multiset, in mpf."""
+    import mpmath
     total = mpmath.mpf(0)
     for m, count in sorted(counts.items()):
         total += count * mpmath.exp(-m * t * log_gamma)
@@ -60,6 +59,7 @@ def hausdorff_sum(cover: IntervalCover, t: float, bits: int = DEFAULT_BITS) -> H
     check_bits(bits)
     if t < 0:
         raise ValueError("exponent t must be >= 0")
+    import mpmath
     spec = cover.spec
     na, nb = spec.survivor_counts
     with mpmath.workprec(bits):
@@ -86,6 +86,7 @@ def empirical_dimension(cover: IntervalCover, bits: int = DEFAULT_BITS) -> float
     if spec.l == 0 and spec.s == 0:
         # full tilings: the sum at t=1 is exactly 1 at every depth
         return 1.0
+    import mpmath
     counts = cover.exponent_counts()
     with mpmath.workprec(bits):
         log_gamma = mpmath.log(spec.params.gamma_mpf(bits))
@@ -137,6 +138,7 @@ def box_count(cover: IntervalCover, eps, bits: int = DEFAULT_BITS) -> int:
     eps (int, float, Fraction or mpmath mpf) is used at its exact rational
     value and the count is exact; bits is not needed for that and is ignored.
     """
+    import mpmath
     if isinstance(eps, mpmath.mpf):
         eps = Fraction(eps.man) * Fraction(2) ** eps.exp
     eps = Fraction(eps)
@@ -182,6 +184,7 @@ def box_dimension(spec: FractalSpec, k_max: int, cap: int | None = None,
     powers = (gamma_pow(spec.params, spec.n * k) for k in scales)
     counts = tuple(_count_boxes(spec, depth, (int(g.c0), int(g.c1)), 1)
                    for depth, g in zip(depths, powers))
+    import mpmath
     with mpmath.workprec(bits):
         log_gamma = mpmath.log(spec.params.gamma_mpf(bits))
         xs = [float(spec.n * k * log_gamma) for k in scales]

@@ -3,9 +3,9 @@
 A spec (p, q, n, l, s) removes l long and s short tiles from the step-n
 tiling, then recursively re-tiles every surviving interval with the same
 (scaled) survivor pattern. The depth-k cover is the set of intervals left
-after k rounds; its lengths are pure powers of gamma, so covers are carried as
-exact (start, length-exponent) pairs plus the path of tile kinds that led to
-each interval.
+after k rounds; its lengths are pure powers of gamma. One integer walk hands
+each interval out as its start (u + v*gamma)/q^(n*k), length exponent and
+path of tile kinds, held as integers in the tile type.
 
 Which tiles get removed is a free choice (the dimension only sees the counts):
 the default "keep-first" policy drops the last l long and last s short tiles
@@ -16,7 +16,6 @@ word positions so published figures can be reproduced exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
@@ -113,21 +112,8 @@ def survivors(spec: FractalSpec) -> tuple[Tile, ...]:
     return tuple(t for i, t in enumerate(tiling.tiles) if i not in removed)
 
 
-@dataclass(frozen=True, slots=True)
-class CoverInterval:
-    """One surviving interval: exact start, length gamma^-exponent, kind path."""
-
-    start: QuadElement
-    length_exponent: int
-    kind_path: str
-
-    @property
-    def length(self) -> QuadElement:
-        return gamma_pow(self.start.params, -self.length_exponent)
-
-    @property
-    def end(self) -> QuadElement:
-        return self.start + self.length
+# one surviving interval: the tile type, its kind_path the survivor letters
+CoverInterval = Tile
 
 
 @dataclass(frozen=True)
@@ -162,11 +148,8 @@ class IntervalCover:
 
     def total_length(self) -> QuadElement:
         """Exact total length of the cover as a field element."""
-        params = self.spec.params
-        acc = params.zero()
-        for exponent, count in sorted(self.exponent_counts().items()):
-            acc = acc + count * gamma_pow(params, -exponent)
-        return acc
+        params, counts = self.spec.params, self.exponent_counts()
+        return sum((c * gamma_pow(params, -m) for m, c in sorted(counts.items())), params.zero())
 
 
 @lru_cache(maxsize=128)
@@ -228,10 +211,9 @@ def _walk(spec: FractalSpec, depth: int, scale: tuple[int, int] = (1, 0),
 
 
 def _intervals(spec: FractalSpec, k: int) -> Iterator[CoverInterval]:
-    params = spec.params
-    den = params.q ** (spec.n * k)
+    params, den = spec.params, spec.params.q ** (spec.n * k)
     for u, v, e, path in _walk(spec, k):
-        yield CoverInterval(QuadElement(Fraction(u, den), Fraction(v, den), params), e, path)
+        yield CoverInterval(params, path, u, v, den, e)
 
 
 def check_cover_cap(spec: FractalSpec, k: int, cap: int | None = None) -> None:

@@ -22,7 +22,8 @@ when a and b*sqrt(D) cancel, so k is chosen from bit lengths to make
 bracket round to the same double (Python's int/int division is correctly
 rounded), widening k in the rare case that they do not; `to_mpf` rounds
 lo/(m*2^k) once at the requested precision. In the degenerate case the value
-is a plain rational and both round u + v*gamma over den exactly once.
+is a plain rational and both round u + v*gamma over den exactly once. Only
+`to_mpf` and `gamma_mpf` import mpmath.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-
-import mpmath
-from mpmath.libmp import from_rational, round_nearest
 
 from .errors import ParamsMismatch
 
@@ -77,6 +75,7 @@ class MetallicParams:
 
     def gamma_mpf(self, bits: int = 128) -> mpmath.mpf:
         """The mean (p + sqrt(D))/2 at the requested binary precision."""
+        import mpmath
         with mpmath.workprec(bits + 10):
             return (self.p + mpmath.sqrt(self.D)) / 2
 
@@ -233,6 +232,7 @@ class QuadElement:
         however much c0 and c1*gamma cancel."""
         if bits < 53:
             raise ValueError("bits must be >= 53")
+        import mpmath
         u, v, den = self.numerators()
         g = self.params.rational_root
         if g is not None or v == 0:
@@ -240,7 +240,8 @@ class QuadElement:
         else:
             num, scaled_den = _bracket(self.params, u, v, den, bits + 4)
         with mpmath.workprec(bits):
-            return mpmath.mpf(from_rational(num, scaled_den, bits, round_nearest))
+            libmp = mpmath.libmp
+            return mpmath.mpf(libmp.from_rational(num, scaled_den, bits, libmp.round_nearest))
 
     def __float__(self) -> float:
         return to_double(self.params, *self.numerators())

@@ -145,20 +145,23 @@ def _emit_svg(rows: list[Layout], symbol: str) -> str:
     half = TICK / 2
     for i, (label, segments, labels) in enumerate(rows):
         y = MARGIN + ROW_HEIGHT * (i + 0.5)
+        fy, top, bottom = _f(y), _f(y - half), _f(y + half)
+        letter_y, length_y = _f(y - half - 3), _f(y + half + 11)
         out.append(f'<g class="row" data-label="{label}">')
         out.append(f'<text x="{_f(MARGIN / 4)}" y="{_f(y - 4)}" font-size="9">{label}</text>')
         for x0, x1 in segments:
-            out.append(f'<line class="seg" x1="{_f(x0)}" y1="{_f(y)}" '
-                       f'x2="{_f(x1)}" y2="{_f(y)}" stroke="black"/>')
-            for xt in (x0, x1):
-                out.append(f'<line class="tick" x1="{_f(xt)}" y1="{_f(y - half)}" '
-                           f'x2="{_f(xt)}" y2="{_f(y + half)}" stroke="black"/>')
+            f0, f1 = _f(x0), _f(x1)
+            out.append(f'<line class="seg" x1="{f0}" y1="{fy}" x2="{f1}" y2="{fy}" '
+                       'stroke="black"/>')
+            for ft in (f0, f1):
+                out.append(f'<line class="tick" x1="{ft}" y1="{top}" x2="{ft}" y2="{bottom}" '
+                           'stroke="black"/>')
         below = [(x, f"1/{symbol}^{e}" if e else "1") for x, _, e in labels]
         for x, letter, _ in labels:
-            out.append(f'<text x="{_f(x)}" y="{_f(y - half - 3)}" font-size="10" '
+            out.append(f'<text x="{_f(x)}" y="{letter_y}" font-size="10" '
                        f'text-anchor="middle">{letter}</text>')
         for x, text in [*below, (MARGIN, "0"), (WIDTH - MARGIN, "1")]:
-            out.append(f'<text x="{_f(x)}" y="{_f(y + half + 11)}" font-size="8" '
+            out.append(f'<text x="{_f(x)}" y="{length_y}" font-size="8" '
                        f'text-anchor="middle">{text}</text>')
         out.append("</g>")
     out.append("</svg>")
@@ -170,15 +173,17 @@ def _emit_tikz(rows: list[Layout], symbol: str) -> str:
     half = TICK / 2
     for i, (label, segments, labels) in enumerate(rows):
         y = -ROW_HEIGHT * i
-        out.append(rf"\node[anchor=east] at ({_f(MARGIN - 6)},{_f(y)}) {{{label}}};")
+        fy, bottom, top = _f(y), _f(y - half), _f(y + half)
+        out.append(rf"\node[anchor=east] at ({_f(MARGIN - 6)},{fy}) {{{label}}};")
         for x0, x1 in segments:
-            out.append(rf"\draw ({_f(x0)},{_f(y)}) -- ({_f(x1)},{_f(y)});")
-            for xt in (x0, x1):
-                out.append(rf"\draw ({_f(xt)},{_f(y - half)}) -- ({_f(xt)},{_f(y + half)});")
+            f0, f1 = _f(x0), _f(x1)
+            out.append(rf"\draw ({f0},{fy}) -- ({f1},{fy});")
+            out.append(rf"\draw ({f0},{bottom}) -- ({f0},{top});")
+            out.append(rf"\draw ({f1},{bottom}) -- ({f1},{top});")
         below = [(x, rf"$1/{symbol}^{{{e}}}$" if e else "$1$") for x, _, e in labels]
         for x, letter, _ in labels:
-            out.append(rf"\node[above] at ({_f(x)},{_f(y + half)}) {{${letter}$}};")
+            out.append(rf"\node[above] at ({_f(x)},{top}) {{${letter}$}};")
         for x, text in [*below, (MARGIN, "$0$"), (WIDTH - MARGIN, "$1$")]:
-            out.append(rf"\node[below] at ({_f(x)},{_f(y - half)}) {{{text}}};")
+            out.append(rf"\node[below] at ({_f(x)},{bottom}) {{{text}}};")
     out.append(r"\end{tikzpicture}")
     return "\n".join(out) + "\n"

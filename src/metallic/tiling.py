@@ -1,14 +1,14 @@
 """The step-n tiling of [0,1] with exact endpoints.
 
 Letters map to tiles: a is a long tile of length gamma^-(n-1), b a short tile
-of length gamma^-n, laid out left to right in word order. Endpoints are exact
-field elements, so the unit total length can be checked symbolically.
+of length gamma^-n, laid out left to right in word order. A tile holds the
+integers of its start (u + v*gamma)/q^n; the exact field elements `.start`,
+`.length` and `.end` are built on access, to check the unit length exactly.
 """
 
 from __future__ import annotations
 
 import enum
-import gc
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -27,19 +27,49 @@ class TileKind(enum.Enum):
     SHORT = "b"
 
 
-@dataclass(frozen=True, slots=True)
 class Tile:
-    kind: TileKind
-    start: QuadElement
-    length_exponent: int
+    """A tile or cover interval from (u + v*gamma)/den, gamma^-length_exponent long.
+
+    kind_path is a tile's letter or the survivor letters that led to a cover
+    interval; the last one is its kind (None for the depth-0 interval [0,1]).
+    Read-only by convention; equality is by value.
+    """
+
+    __slots__ = ("params", "kind_path", "u", "v", "den", "length_exponent")
+
+    def __init__(self, params: MetallicParams, kind_path: str, u: int, v: int, den: int,
+                 length_exponent: int) -> None:
+        self.params, self.kind_path, self.length_exponent = params, kind_path, length_exponent
+        self.u, self.v, self.den = u, v, den
+
+    @property
+    def kind(self) -> TileKind | None:
+        return TileKind(self.kind_path[-1]) if self.kind_path else None
+
+    @property
+    def start(self) -> QuadElement:
+        return QuadElement(Fraction(self.u, self.den), Fraction(self.v, self.den), self.params)
 
     @property
     def length(self) -> QuadElement:
-        return gamma_pow(self.start.params, -self.length_exponent)
+        return gamma_pow(self.params, -self.length_exponent)
 
     @property
     def end(self) -> QuadElement:
         return self.start + self.length
+
+    def _key(self) -> tuple:
+        return self.kind_path, self.length_exponent, self.start
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, Tile) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}({self.kind_path!r}, start={self.start}, "
+                f"length_exponent={self.length_exponent})")
 
 
 @dataclass(frozen=True)
@@ -53,7 +83,7 @@ class Tiling:
 
     @property
     def word(self) -> str:
-        return "".join(t.kind.value for t in self.tiles)
+        return "".join(map(attrgetter("kind_path"), self.tiles))
 
 
 def tiling_at_step(params: MetallicParams, n: int, cap: int | None = None) -> Tiling:
@@ -69,29 +99,13 @@ def tiling_at_step(params: MetallicParams, n: int, cap: int | None = None) -> Ti
     if count > limit:
         raise CapExceeded(f"step-{n} tiling has {count} tiles, above cap {limit}")
     if n == 0:
-        return Tiling(params, 0, (Tile(TileKind.SHORT, params.zero(), 0),))
+        return Tiling(params, 0, (Tile(params, "b", 0, 0, 1, 0),))
 
     word = word_at_step(params, n, cap=limit)
-    kinds = {"a": TileKind.LONG, "b": TileKind.SHORT}
     exponents = {"a": n - 1, "b": n}
-    coord = _Coordinates(params.q**n)
-    # the per-letter work runs inside map/accumulate; only the constructors
-    # (and coord's first sight of each numerator) execute Python code
     us, vs = start_numerators(params, n, word[:-1])
-    starts = map(QuadElement, map(coord.__getitem__, us), map(coord.__getitem__, vs),
-                 repeat(params))
-    # The tiles form no reference cycles, so the collections their allocations
-    # would trigger free nothing and only rescan the objects built so far.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        tiles = tuple(
-            map(Tile, map(kinds.__getitem__, word), starts, map(exponents.__getitem__, word))
-        )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return Tiling(params, n, tiles)
+    return Tiling(params, n, tuple(map(Tile, repeat(params), word, us, vs,
+                                       repeat(params.q**n), map(exponents.__getitem__, word))))
 
 
 def start_numerators(params: MetallicParams, n: int,
@@ -111,28 +125,7 @@ def start_numerators(params: MetallicParams, n: int,
             accumulate(map(step1.__getitem__, letters), initial=0))
 
 
-class _Coordinates(dict):
-    """numerator -> Fraction(numerator, den), normalized on first lookup.
-
-    Start coordinates often repeat across a tiling (11997 distinct values
-    among the 479682 coordinates of (3,3,10)), so tiles share one Fraction
-    per value.
-    """
-
-    def __init__(self, den: int) -> None:
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, num: int) -> Fraction:
-        # Fraction(num) is the constructor's fast path for whole numbers
-        value = self[num] = Fraction(num) if self.den == 1 else Fraction(num, self.den)
-        return value
-
-
 def total_length(t: Tiling) -> QuadElement:
     """Exact sum of tile lengths (grouped by exponent; the sum is the same)."""
     counts = Counter(map(attrgetter("length_exponent"), t.tiles))
-    acc = t.params.zero()
-    for exponent, count in sorted(counts.items()):
-        acc = acc + count * gamma_pow(t.params, -exponent)
-    return acc
+    return sum((c * gamma_pow(t.params, -m) for m, c in sorted(counts.items())), t.params.zero())

@@ -212,6 +212,27 @@ def test_negative_cap_is_validation_error(monkeypatch, capsys):
     assert "cap must be >= 0" in capsys.readouterr().err
 
 
+def test_out_in_missing_directory_is_validation_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    assert main([*SUBCOMMAND_ARGV["cover"], "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ") and str(missing) in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--extra", "0,1"], "error: --extra takes P,Q with integers P, Q >= 1, got '0,1'\n"),
+    (["table", "--extra", "1"], "error: --extra takes P,Q with integers P, Q >= 1, got '1'\n"),
+    (["table", "--extra", "2,3", "--extra", "3,x"],
+     "error: --extra takes P,Q with integers P, Q >= 1, got '3,x'\n"),
+    (["word", "--n", "5", "--max-letters", "-1"], "error: --max-letters must be >= 0, got -1\n"),
+])
+def test_bad_arguments_rejected_before_output(argv, message, capsys):
+    with redirect_stdout(_NoOutput()):
+        assert main(argv) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_word_deep_step_streams():
     code, out = run_cli("word", "--p", "1", "--q", "1", "--n", "1500", "--max-letters", "40")
     assert code == 0
@@ -310,6 +331,17 @@ def test_bits_below_53_rejected(command):
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+@pytest.mark.parametrize("value", ["-1", "ten"])
+def test_bad_metallic_cap_rejected_by_every_subcommand(command, value):
+    result = subprocess.run([sys.executable, "-m", "metallic.cli", *SUBCOMMAND_ARGV[command]],
+                            env={**CHILD_ENV, "METALLIC_CAP": value},
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: METALLIC_CAP: ")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
 def test_negative_cap_rejected_by_every_subcommand(command, capsys):
     with redirect_stdout(_NoOutput()):
         assert main([*SUBCOMMAND_ARGV[command], "--cap", "-1"]) == 2
@@ -322,6 +354,25 @@ def test_cli_import_leaves_out_numpy():
         env=CHILD_ENV, capture_output=True, text=True, timeout=60,
     )
     assert (result.returncode, result.stdout) == (0, "False\n")
+
+
+def test_cli_leaves_out_mpmath_unless_dim_or_estimate_runs():
+    script = """
+import contextlib, io, sys
+import metallic.cli
+print('mpmath' in sys.modules)
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert metallic.cli.main(argv) == 0, argv
+print('mpmath' in sys.modules)
+"""
+    argvs = [SUBCOMMAND_ARGV[c] for c in ("word", "tiling", "cover", "render", "table")]
+    argvs += [["tiling", "--n", "3", "--format", "csv"],
+              ["cover", "--n", "3", "--remove-short", "1", "--depth", "2", "--format", "json"],
+              ["render", "--mode", "stack", "--n", "3", "--format", "tikz"]]
+    result = subprocess.run([sys.executable, "-c", script.format(argvs=argvs)],
+                            env=CHILD_ENV, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\nFalse\n", "")
 
 
 @pytest.mark.parametrize("params, argv, expected", [

@@ -3,8 +3,11 @@
 The digests were taken from the output of the recursive QuadElement walkers
 that the integer tree walker replaced, and (the stack, silver construction and
 tiling text/(1,3) entries) from the mpmath float conversion that the isqrt
-kernel replaced; any change to a row, a float digit or a figure coordinate
-changes them.
+kernel replaced, and (the q > 1 covers and the keep-last and explicit
+policies) from the Fraction-built rows and csv/json writers that the
+integer-backed rows replaced: they cover the gcd reduction of u/q^(n*k) and
+v/q^(n*k), negative numerators and the rational mean gamma = 2 of (1, 2). Any
+change to a row, a float digit or a figure coordinate changes them.
 """
 
 import hashlib
@@ -19,6 +22,8 @@ SPEC_301 = ["--p", "1", "--q", "1", "--n", "3", "--remove-short", "1"]
 SPEC_212 = ["--p", "2", "--q", "1", "--n", "2", "--remove-short", "1"]
 SPEC_411 = ["--p", "1", "--q", "1", "--n", "4", "--remove-long", "1", "--remove-short", "1"]
 SPEC_21210 = ["--p", "2", "--q", "1", "--n", "2", "--remove-long", "1"]
+SPEC_1310 = ["--p", "1", "--q", "3", "--n", "3", "--remove-long", "1"]
+SPEC_1210 = ["--p", "1", "--q", "2", "--n", "3", "--remove-long", "1"]
 STACK_216 = ["render", "--mode", "stack", "--p", "2", "--q", "1", "--n", "6"]
 
 GOLDEN = {
@@ -46,6 +51,21 @@ GOLDEN = {
      2341, "822dd98af562cd3228bd74a1d4dbbd2a403621d056f68a006fb6303c31784b2d"),
     "tiling_136_csv": (["tiling", "--p", "1", "--q", "3", "--n", "6", "--format", "csv"],
      6165, "cbe056f5e1e388ea69be9336fd9bbf298f472b99c5589622b6cd6374873a7dc9"),
+    "cover_1310_d5_csv": (["cover", *SPEC_1310, "--depth", "5"],
+     668101, "f1f932437eb066aaf0a64c60302682b993f092dc14732ec38ca856c26a04bd8d"),
+    "cover_1310_d5_json": (["cover", *SPEC_1310, "--depth", "5", "--format", "json"],
+     1895498, "ee21f9d386271aaa15a593ae6b0a9043acfba6b0b61d6574bf8e148be32fd811"),
+    "cover_1210_d5_csv": (["cover", *SPEC_1210, "--depth", "5"],
+     65470, "d0b47defca70ad16c5aaa6b35fffac0989a52202d7481f7d89ae753f8a65550b"),
+    "cover_1210_d5_json": (["cover", *SPEC_1210, "--depth", "5", "--format", "json"],
+     228176, "bf98318ebcc9486fd296e78e522e836c8f322a9450b0ea468024615e28ad283c"),
+    "cover_411_keep_last_d5_csv": (["cover", *SPEC_411, "--policy", "keep-last", "--depth", "5"],
+     17460, "ce75608ed72e8d574a5f7d1f40a5475e2f230ebb142a37d8190791b5980edf1c"),
+    "cover_2311_explicit_d3_json": (["cover", "--p", "2", "--q", "3", "--n", "3",
+                                     "--remove-long", "1", "--remove-short", "1",
+                                     "--policy", "explicit", "--indices", "2,6",
+                                     "--depth", "3", "--format", "json"],
+     308382, "1b812e893702eb4e30c872ee2d8871756229f34e68a13ace551bb2321eda15b1"),
 }
 
 

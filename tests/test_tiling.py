@@ -1,12 +1,16 @@
 """Exact step-n tilings: structure, contiguity, unit total length."""
 
 import gc
+from fractions import Fraction
 
 import pytest
 
 from metallic import (
     CapExceeded,
+    CoverInterval,
     MetallicParams,
+    QuadElement,
+    Tile,
     TileKind,
     gamma_pow,
     tile_counts,
@@ -122,7 +126,7 @@ def test_negative_step_rejected():
 
 
 def test_collector_state_restored():
-    # tiling_at_step pauses the cyclic collector while it builds the tiles
+    # tiling_at_step leaves the cyclic collector as it found it
     assert gc.isenabled()
     tiling_at_step(SILVER, 6)
     assert gc.isenabled()
@@ -132,3 +136,18 @@ def test_collector_state_restored():
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_tiles_are_integer_backed_and_equal_by_value():
+    params = MetallicParams(1, 3)
+    tiling = tiling_at_step(params, 3)
+    tile = tiling.tiles[2]
+    assert (tile.den, tile.kind_path) == (27, tiling.word[2])
+    assert tile.start == QuadElement(Fraction(tile.u, 27), Fraction(tile.v, 27), params)
+    # the same interval over another denominator: equal, with one hash
+    same = Tile(params, tile.kind_path, 3 * tile.u, 3 * tile.v, 81, tile.length_exponent)
+    assert same == tile and hash(same) == hash(tile)
+    assert same != Tile(params, "b" if tile.kind_path == "a" else "a", tile.u, tile.v, 27,
+                        tile.length_exponent)
+    assert CoverInterval is Tile
+    assert Tile(params, "", 0, 0, 1, 0).kind is None
