@@ -8,7 +8,9 @@ flags win. METALLIC_CAP overrides the default enumeration cap.
 
 Tiling and cover rows are one format string each, filled from the integers of
 a start (u + v*gamma)/den: u/den and v/den in lowest terms and the correctly
-rounded double (`quadfield.to_double`). Only dim and estimate load mpmath;
+rounded double (`quadfield.to_double`); the length fields are formatted once
+per exponent. Rows are written ROWS_PER_WRITE at a time, one write per chunk,
+and --out is opened at the first write. Only dim and estimate load mpmath;
 --bits sets its precision.
 """
 
@@ -19,6 +21,7 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import islice
 from math import gcd
@@ -48,26 +51,57 @@ EXACT_COLUMNS = (
 )
 COVER_COLUMNS = ("depth", "index", "kind_path", *EXACT_COLUMNS)
 # Rows hold ints, finite floats and a/b strings, so these give the bytes of csv.writer
-# (floats to 17 significant digits, enough to read them back) and json.dumps.
-_EXACT_CSV = "{},{},{},{},{:.17g},{},{:.17g}\n"
+# (floats to 17 significant digits, enough to read them back) and json.dumps. Each row
+# ends in its length fields, filled in whole from a *_LENGTH template.
+_EXACT_CSV = "{},{},{},{},{:.17g},{}"
 TILING_CSV_ROW = "{},{}," + _EXACT_CSV
 COVER_CSV_ROW = "{},{},{}," + _EXACT_CSV
+CSV_LENGTH = "{},{:.17g}\n"
 COVER_JSON_RECORD = ('{{"depth": {}, "index": {}, "kind_path": "{}", "start_c0_num": {}, '
                      '"start_c0_den": {}, "start_c1_num": {}, "start_c1_den": {}, '
-                     '"start_float": {}, "length_exponent": {}, "length_float": {}}}')
+                     '"start_float": {}, {}')
+JSON_LENGTH = '"length_exponent": {}, "length_float": {}}}'
+ROWS_PER_WRITE = 512  # rows joined into one write, at most ~128 KB
 
 
 @lru_cache(maxsize=1024)
-def _length_float(params: MetallicParams, exponent: int) -> float:
-    return float(gamma_pow(params, -exponent))
+def _length_fields(params: MetallicParams, exponent: int, template: str) -> str:
+    return template.format(exponent, float(gamma_pow(params, -exponent)))
 
 
-def _exact_fields(tile: Tile) -> tuple:
-    """The EXACT_COLUMNS values of a tile or cover interval."""
-    u, v, den, exponent = tile.u, tile.v, tile.den, tile.length_exponent
+def _exact_fields(tile: Tile, length_template: str) -> tuple:
+    """The EXACT_COLUMNS values of a tile or cover interval, the length fields as one string."""
+    u, v, den = tile.u, tile.v, tile.den
     g0, g1 = gcd(u, den), gcd(v, den)
     return (u // g0, den // g0, v // g1, den // g1, to_double(tile.params, u, v, den),
-            exponent, _length_float(tile.params, exponent))
+            _length_fields(tile.params, tile.length_exponent, length_template))
+
+
+def _write_rows(out: io.TextIOBase, rows: Iterator[str]) -> None:
+    while chunk := "".join(islice(rows, ROWS_PER_WRITE)):
+        out.write(chunk)
+
+
+class _OutFile:
+    """--out, opened at its first write, so a command rejected before any output leaves
+    an existing file as it was (not a renamed temporary file: --out may be a FIFO)."""
+
+    def __init__(self, path: str) -> None:
+        self.path, self.fh = path, None
+
+    def write(self, text: str) -> int:
+        try:
+            self.fh = self.fh or open(self.path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(f"--out: {exc}") from None
+        return self.fh.write(text)
+
+    def flush(self) -> None:
+        self.write("")  # a command that succeeds leaves its file, even one it wrote nothing to
+
+    def close(self) -> None:
+        if self.fh:
+            self.fh.close()
 
 
 def _parse_extra(text: str) -> MetallicParams:
@@ -241,16 +275,15 @@ def cmd_tiling(args: argparse.Namespace, out: io.TextIOBase) -> None:
     tiles = tiling_at_step(params, args.n, cap=args.cap).tiles
     if args.format == "csv":
         out.write(",".join(("index", "kind", *EXACT_COLUMNS)) + "\n")
-        for i, tile in enumerate(tiles):
-            out.write(TILING_CSV_ROW.format(i, tile.kind_path, *_exact_fields(tile)))
+        _write_rows(out, (TILING_CSV_ROW.format(i, t.kind_path, *_exact_fields(t, CSV_LENGTH))
+                          for i, t in enumerate(tiles)))
         return
     symbol = MEAN_SYMBOLS.get((args.p, args.q), "γ")
     out.write(f"step-{args.n} tiling for p={args.p}, q={args.q}\n")
-    for i, tile in enumerate(tiles):
-        out.write(
-            f"{i:4d}  {tile.kind_path}  start = {tile.start}  "
-            f"≈ {float(tile.start):.12f}  length = 1/{symbol}^{tile.length_exponent}\n"
-        )
+    _write_rows(out, (f"{i:4d}  {tile.kind_path}  start = {tile.start}  "
+                      f"≈ {to_double(params, tile.u, tile.v, tile.den):.12f}  "
+                      f"length = 1/{symbol}^{tile.length_exponent}\n"
+                      for i, tile in enumerate(tiles)))
 
 
 def cmd_dim(args: argparse.Namespace, out: io.TextIOBase) -> None:
@@ -284,13 +317,14 @@ def cmd_cover(args: argparse.Namespace, out: io.TextIOBase) -> None:
     intervals = enumerate(iter_cover_intervals(spec, args.depth))
     if args.format == "csv":
         out.write(",".join(COVER_COLUMNS) + "\n")
-        for index, iv in intervals:
-            out.write(COVER_CSV_ROW.format(args.depth, index, iv.kind_path, *_exact_fields(iv)))
+        _write_rows(out, (COVER_CSV_ROW.format(args.depth, index, iv.kind_path,
+                                               *_exact_fields(iv, CSV_LENGTH))
+                          for index, iv in intervals))
         return
     out.write("[\n")
-    for index, iv in intervals:
-        out.write((",\n" if index else "") + COVER_JSON_RECORD.format(
-            args.depth, index, iv.kind_path, *_exact_fields(iv)))
+    _write_rows(out, ((",\n" if index else "") + COVER_JSON_RECORD.format(
+        args.depth, index, iv.kind_path, *_exact_fields(iv, JSON_LENGTH))
+        for index, iv in intervals))
     out.write("\n]\n")
 
 
@@ -360,11 +394,10 @@ def main(argv: list[str] | None = None) -> int:
             resolve_cap(args.cap)
         setting = "METALLIC_CAP: "
         args.cap = resolve_cap(args.cap)  # without --cap, the variable is read here, once
-        setting = "--out: "
-        sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    except (ValidationError, ValueError, OSError) as exc:
+    except (ValidationError, ValueError) as exc:
         print(f"error: {setting}{exc}", file=sys.stderr)
         return 2
+    sink = _OutFile(args.out) if args.out else sys.stdout
     handler = DISPATCH[args.command]
     try:
         handler(args, sink)

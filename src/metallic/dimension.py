@@ -130,6 +130,8 @@ def cantor_similarity(m: int, r: float) -> float:
     """Similarity dimension of a set made of m copies of itself scaled by 1/r."""
     if m < 1:
         raise ValueError("copy count must be >= 1")
+    if not math.isfinite(r):
+        raise ValueError(f"scale factor must be finite, got {r}")
     if r <= 1:
         raise ValueError("scale factor must be > 1")
     return math.log(m) / math.log(r)

@@ -18,12 +18,14 @@ so the value times m*2^k lies strictly between two consecutive integers lo and
 lo + 1 (strictly, because b*sqrt(D) is irrational for b != 0). The field norm
 a^2 - b^2*D is a nonzero integer and bounds the value away from zero even
 when a and b*sqrt(D) cancel, so k is chosen from bit lengths to make
-|lo| >= 2^bits at once. `to_double` returns lo/(m*2^k) once both ends of the
-bracket round to the same double (Python's int/int division is correctly
-rounded), widening k in the rare case that they do not; `to_mpf` rounds
-lo/(m*2^k) once at the requested precision. In the degenerate case the value
-is a plain rational and both round u + v*gamma over den exactly once. Only
-`to_mpf` and `gamma_mpf` import mpmath.
+|lo| >= 2^bits at once. `to_double` first tries a bracket |v| wide from
+floor(sqrt(D)*2^192), cached per `MetallicParams`, so no isqrt per call; only
+when |v| is large against the scaled value (deep powers such as gamma^-200)
+does it fall back to this one, returning lo/(m*2^k) once both ends round to the
+same double (int/int division is correctly rounded) and widening k if they do
+not. `to_mpf` rounds lo/(m*2^k) once at the requested precision. In the
+degenerate case the value is a plain rational and both round u + v*gamma over
+den exactly once. Only `to_mpf` and `gamma_mpf` import mpmath.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from functools import cached_property, lru_cache
 from .errors import ParamsMismatch
 
 Rational = int | Fraction
+FIXED_BITS = 192  # K of the cached fixed-point sqrt(D) that `to_double` tries first
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,11 @@ class MetallicParams:
         """True when D is a perfect square, i.e. the mean is rational."""
         r = math.isqrt(self.D)
         return r * r == self.D
+
+    @cached_property
+    def sqrt_d_fixed(self) -> int:
+        """floor(sqrt(D) * 2^FIXED_BITS)."""
+        return math.isqrt(self.D << (2 * FIXED_BITS))
 
     @cached_property
     def rational_root(self) -> int | None:
@@ -286,10 +294,20 @@ def _bracket(params: MetallicParams, u: int, v: int, den: int, bits: int) -> tup
 
 
 def to_double(params: MetallicParams, u: int, v: int, den: int) -> float:
-    """The correctly rounded double of (u + v*gamma)/den, for integers u, v and den > 0."""
+    """The correctly rounded double of (u + v*gamma)/den, for integers u, v and den > 0.
+
+    With S = floor(sqrt(D)*2^K), K = FIXED_BITS, the value times 2*den*2^K lies strictly between
+    lo = (2u + p*v)*2^K + v*S and lo + v (sqrt(D)*2^K is irrational); int/int division
+    rounds correctly and monotonically, so one nonzero double at both ends is the
+    answer. Otherwise the isqrt bracket decides."""
     g = params.rational_root
     if g is not None or v == 0:
         return (u + v * (g or 0)) / den
+    lo = ((2 * u + params.p * v) << FIXED_BITS) + v * params.sqrt_d_fixed
+    scaled_den = den << (FIXED_BITS + 1)
+    f = lo / scaled_den
+    if f and f == (lo + v) / scaled_den:  # an underflow to 0.0 may carry the wrong sign
+        return f
     bits = 64
     while True:
         lo, scaled_den = _bracket(params, u, v, den, bits)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from metallic import MetallicParams, QuadElement, word_at_step, word_length
+from metallic import MetallicParams, QuadElement, cantor_similarity, word_at_step, word_length
 from metallic.cli import main
 
 GOLDEN = MetallicParams(1, 1)
@@ -218,6 +218,57 @@ def test_out_in_missing_directory_is_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: --out: ") and str(missing) in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "--n", "1", "--depth", "2"],
+    ["tiling", "--n", "20", "--cap", "10"],
+    ["render", "--n", "3", "--remove-long", "5"],
+])
+def test_rejected_command_leaves_out_file(argv, tmp_path, capsys):
+    keep = tmp_path / "keep.txt"
+    keep.write_bytes(b"precious\n")
+    assert main([*argv, "--out", str(keep)]) in (2, 3)
+    assert keep.read_bytes() == b"precious\n"
+    assert capsys.readouterr().err.count("\n") == 1
+    assert main([*SUBCOMMAND_ARGV[argv[0]], "--out", str(keep)]) == 0
+    assert keep.read_text() == run_cli(*SUBCOMMAND_ARGV[argv[0]])[1] != "precious\n"
+
+
+@pytest.mark.parametrize("r", ["nan", "inf", "-inf"])
+def test_non_finite_scale_factor_rejected(r, capsys):
+    with pytest.raises(ValueError, match="scale factor"):
+        cantor_similarity(2, float(r))
+    with redirect_stdout(_NoOutput()):
+        assert main(["dim", "--m", "2", f"--r={r}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scale factor") and err.count("\n") == 1
+
+
+class _WriteCounter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "--p", "2", "--q", "1", "--n", "2", "--remove-short", "1", "--depth", "13"],
+    ["cover", "--p", "2", "--q", "1", "--n", "2", "--remove-short", "1", "--depth", "13",
+     "--format", "json"],
+    ["tiling", "--p", "1", "--q", "3", "--n", "12", "--format", "csv"],
+    ["tiling", "--p", "1", "--q", "3", "--n", "12"],
+])
+def test_rows_written_in_chunks(argv):
+    sink = _WriteCounter()
+    with redirect_stdout(sink):
+        assert main(argv) == 0
+    rows = sink.getvalue().count("\n")
+    assert rows > 8000
+    assert sink.writes <= rows / 256 + 4
 
 
 @pytest.mark.parametrize("argv, message", [

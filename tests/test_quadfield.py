@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metallic import MetallicParams, ParamsMismatch, QuadElement, gamma_pow, metallic_sequence
+from metallic import quadfield
+from metallic.fractal import FractalSpec, iter_cover_intervals
 from metallic.quadfield import to_double
+from metallic.tiling import tiling_at_step
 
 GOLDEN = MetallicParams(1, 1)
 SILVER = MetallicParams(2, 1)
@@ -285,3 +288,24 @@ def test_to_double_on_integers():
     u, v, den = gamma_pow(SILVER, -40).numerators()
     assert to_double(SILVER, u, v, den) == float(gamma_pow(SILVER, -40))
     assert to_double(SILVER, u, v, den) != 0.0
+
+
+def test_to_double_fixed_point_path_and_fallback(monkeypatch):
+    calls = []
+    bracket = quadfield._bracket
+    monkeypatch.setattr(quadfield, "_bracket", lambda *a: calls.append(a) or bracket(*a))
+
+    def check(params, u, v, den):
+        f = to_double(params, u, v, den)
+        assert _is_correctly_rounded(QuadElement(Fraction(u, den), Fraction(v, den), params), f)
+
+    nickel = MetallicParams(1, 3)
+    for tile in tiling_at_step(nickel, 12).tiles:
+        check(nickel, tile.u, tile.v, tile.den)
+    for iv in iter_cover_intervals(FractalSpec(SILVER, 2, 0, 1), 13):
+        check(SILVER, iv.u, iv.v, iv.den)
+    assert calls == []  # every start was settled by the fixed-point sqrt(D)
+    # gamma^-200: |v| is near 2^138 against a scaled value near 2^54, so the
+    # fixed-point bracket straddles many doubles
+    check(GOLDEN, *gamma_pow(GOLDEN, -200).numerators())
+    assert calls
