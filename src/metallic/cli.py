@@ -11,28 +11,28 @@ a start (u + v*gamma)/den: u/den and v/den in lowest terms and the correctly
 rounded double (`quadfield.to_double`); the length fields are formatted once
 per exponent. Rows are written ROWS_PER_WRITE at a time, one write per chunk,
 and --out is opened at the first write. Only dim and estimate load mpmath;
---bits sets its precision.
+--bits sets its precision. A command loads only what it runs: estimate and
+render (and json, for dim and estimate) are imported by the commands that use
+them.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
+import shutil
 import sys
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from math import gcd
 
 from .dimension import cantor_similarity, dimension
 from .errors import CapExceeded, ValidationError
-from .estimate import box_dimension, empirical_dimension
 from .fractal import FractalSpec, check_cover_cap, cover_summary, iter_cover_intervals
 from .limits import DEFAULT_BITS, check_bits, resolve_cap
-from .quadfield import MetallicParams, gamma_pow, to_double
-from .render import MEAN_SYMBOLS, RenderPlan, render_construction, render_tiling_stack
+from .quadfield import MEAN_SYMBOLS, MetallicParams, gamma_pow, to_double
 from .substitution import iter_word_at_step, word_length
 from .tiling import Tile, tiling_at_step
 
@@ -62,6 +62,28 @@ COVER_JSON_RECORD = ('{{"depth": {}, "index": {}, "kind_path": "{}", "start_c0_n
                      '"start_float": {}, {}')
 JSON_LENGTH = '"length_exponent": {}, "length_float": {}}}'
 ROWS_PER_WRITE = 512  # rows joined into one write, at most ~128 KB
+
+
+# Bound in this module, and importing on first call, because bench/spans.py traces
+# these names here; ROADMAP item H (a stats channel) retires them.
+def empirical_dimension(*args, **kwargs):
+    from .estimate import empirical_dimension
+    return empirical_dimension(*args, **kwargs)
+
+
+def box_dimension(*args, **kwargs):
+    from .estimate import box_dimension
+    return box_dimension(*args, **kwargs)
+
+
+def render_construction(*args, **kwargs):
+    from .render import render_construction
+    return render_construction(*args, **kwargs)
+
+
+def render_tiling_stack(*args, **kwargs):
+    from .render import render_tiling_stack
+    return render_tiling_stack(*args, **kwargs)
 
 
 @lru_cache(maxsize=1024)
@@ -153,26 +175,30 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse makes a formatter per add_argument; each would read the terminal size
+    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="metallic",
         description="Metallic-means tilings of [0,1], removal fractals, and their dimensions",
+        formatter_class=fmt,
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(subs.add_parser, formatter_class=fmt)
 
-    w = subs.add_parser("word", help="print the step-n substitution word")
+    w = add_parser("word", help="print the step-n substitution word")
     _add_mean_flags(w)
     w.add_argument("--n", type=int, required=True, help="substitution step")
     w.add_argument("--max-letters", type=int, default=10000, dest="max_letters",
                    help="print at most this many letters")
     _add_common_flags(w)
 
-    t = subs.add_parser("tiling", help="print the step-n tiling with exact endpoints")
+    t = add_parser("tiling", help="print the step-n tiling with exact endpoints")
     _add_mean_flags(t)
     t.add_argument("--n", type=int, required=True, help="substitution step")
     t.add_argument("--format", choices=("text", "csv"), default="text")
     _add_common_flags(t)
 
-    d = subs.add_parser("dim", help="analytic dimension report (JSON)")
+    d = add_parser("dim", help="analytic dimension report (JSON)")
     _add_mean_flags(d)
     d.add_argument("--n", type=int, default=None, help="substitution step")
     _add_removal_flags(d)
@@ -182,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generic self-similar mode: scale factor")
     _add_common_flags(d)
 
-    c = subs.add_parser("cover", help="stream the depth-k cover (CSV or JSON)")
+    c = add_parser("cover", help="stream the depth-k cover (CSV or JSON)")
     _add_mean_flags(c)
     c.add_argument("--n", type=int, required=True, help="substitution step")
     _add_removal_flags(c)
@@ -190,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common_flags(c)
 
-    e = subs.add_parser("estimate", help="numerical dimension estimates vs analytic (JSON)")
+    e = add_parser("estimate", help="numerical dimension estimates vs analytic (JSON)")
     _add_mean_flags(e)
     e.add_argument("--n", type=int, required=True, help="substitution step")
     _add_removal_flags(e)
     e.add_argument("--depth", type=int, default=4, help="cover depth for the sum estimator")
     _add_common_flags(e)
 
-    r = subs.add_parser("render", help="emit an SVG or TikZ figure")
+    r = add_parser("render", help="emit an SVG or TikZ figure")
     r.add_argument("--mode", choices=("construction", "stack"), default="construction")
     _add_mean_flags(r)
     r.add_argument("--n", type=int, required=True,
@@ -207,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--format", choices=("svg", "tikz"), default="svg")
     _add_common_flags(r)
 
-    tb = subs.add_parser("table", help="table of the named metallic means")
+    tb = add_parser("table", help="table of the named metallic means")
     tb.add_argument("--extra", action="append", default=[],
                     metavar="P,Q", help="append a (p,q) row; repeatable")
     _add_common_flags(tb)
@@ -228,7 +254,8 @@ def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]
     if not argv or argv[0].startswith("-"):
         return argv  # no subcommand: argparse reports it
     finder = argparse.ArgumentParser(prog=f"{parser.prog} {argv[0]}", usage=argparse.SUPPRESS,
-                                     add_help=False, exit_on_error=False)
+                                     add_help=False, exit_on_error=False,
+                                     formatter_class=parser.formatter_class)
     _add_common_flags(finder)
     try:
         path = finder.parse_known_args(argv[1:])[0].config
@@ -287,6 +314,7 @@ def cmd_tiling(args: argparse.Namespace, out: io.TextIOBase) -> None:
 
 
 def cmd_dim(args: argparse.Namespace, out: io.TextIOBase) -> None:
+    import json
     if (args.m is None) != (args.r is None):
         raise ValidationError("generic mode needs both --m and --r")
     if args.m is not None:
@@ -329,6 +357,7 @@ def cmd_cover(args: argparse.Namespace, out: io.TextIOBase) -> None:
 
 
 def cmd_estimate(args: argparse.Namespace, out: io.TextIOBase) -> None:
+    import json
     spec = _make_spec(args)
     if args.depth < 1:
         raise ValidationError("--depth must be >= 1")
@@ -347,6 +376,7 @@ def cmd_estimate(args: argparse.Namespace, out: io.TextIOBase) -> None:
 
 
 def cmd_render(args: argparse.Namespace, out: io.TextIOBase) -> None:
+    from .render import RenderPlan
     plan = RenderPlan(fmt=args.format)
     if args.mode == "stack":
         params = MetallicParams(args.p, args.q)

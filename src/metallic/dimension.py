@@ -17,29 +17,30 @@ the result is deterministic and immune to cancellation at large n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .errors import EmptyFractal
-from .fractal import FractalSpec
+from .errors import EmptyFractal, Record
 from .limits import DEFAULT_BITS, check_bits
 
+if TYPE_CHECKING:  # annotations only: `import metallic` leaves fractal unloaded
+    from .fractal import FractalSpec
 
-@dataclass(frozen=True)
-class CharPoly:
+
+class CharPoly(Record):
     """g(x) = x^degree - linear_coeff*x - constant_coeff, coefficients >= 0."""
 
-    degree: int
-    linear_coeff: int
-    constant_coeff: int
+    _fields = ("degree", "linear_coeff", "constant_coeff")
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
+    def __init__(self, degree: int, linear_coeff: int, constant_coeff: int) -> None:
+        if degree < 1:
             raise ValueError("degree must be >= 1")
-        if self.linear_coeff < 0 or self.constant_coeff < 0:
+        if linear_coeff < 0 or constant_coeff < 0:
             raise ValueError("coefficients must be >= 0")
-        if self.linear_coeff + self.constant_coeff < 1:
+        if linear_coeff + constant_coeff < 1:
             raise EmptyFractal("polynomial x^n has no positive root")
+        self.__dict__.update(degree=degree, linear_coeff=linear_coeff,
+                             constant_coeff=constant_coeff)
 
     def eval_exact(self, x: Fraction) -> Fraction:
         return x**self.degree - self.linear_coeff * x - self.constant_coeff
@@ -103,13 +104,12 @@ def _newton_polish(poly: CharPoly, x0: Fraction, bits: int) -> mpmath.mpf:
         return x
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    spec: FractalSpec
-    poly: CharPoly
-    root: float
-    dim: float
-    root_residual: float
+class DimensionReport(Record):
+    _fields = ("spec", "poly", "root", "dim", "root_residual")
+
+    def __init__(self, spec: FractalSpec, poly: CharPoly, root: float, dim: float,
+                 root_residual: float) -> None:
+        self.__dict__.update(spec=spec, poly=poly, root=root, dim=dim, root_residual=root_residual)
 
 
 def dimension(spec: FractalSpec, bits: int = DEFAULT_BITS) -> DimensionReport:

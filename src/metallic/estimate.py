@@ -27,11 +27,11 @@ Two independent estimators work straight from covers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from statistics import linear_regression
 
+from .errors import Record
 from .fractal import FractalSpec, IntervalCover, _inv_powers, _walk, check_cover_cap
 from .limits import DEFAULT_BITS, check_bits
 from .quadfield import gamma_pow
@@ -46,12 +46,11 @@ def _multiset_sum(counts: dict[int, int], t, log_gamma: mpmath.mpf) -> mpmath.mp
     return total
 
 
-@dataclass(frozen=True)
-class HausdorffSum:
-    depth: int
-    t: float
-    value: float
-    y: float
+class HausdorffSum(Record):
+    _fields = ("depth", "t", "value", "y")
+
+    def __init__(self, depth: int, t: float, value: float, y: float) -> None:
+        self.__dict__.update(depth=depth, t=t, value=value, y=y)
 
 
 def hausdorff_sum(cover: IntervalCover, t: float, bits: int = DEFAULT_BITS) -> HausdorffSum:
@@ -147,8 +146,7 @@ def box_count(cover: IntervalCover, eps, bits: int = DEFAULT_BITS) -> int:
     return _count_boxes(cover.spec, cover.depth, (eps.denominator, 0), eps.numerator)
 
 
-@dataclass(frozen=True)
-class BoxCountFit:
+class BoxCountFit(Record):
     """Least-squares fit of log N(eps) against log(1/eps).
 
     residual is the standard error of the fitted slope: lattice scaling makes
@@ -157,12 +155,12 @@ class BoxCountFit:
     rms_misfit keeps the raw per-point figure.
     """
 
-    slope: float
-    intercept: float
-    residual: float
-    rms_misfit: float
-    box_counts: tuple[int, ...]
-    depths: tuple[int, ...]
+    _fields = ("slope", "intercept", "residual", "rms_misfit", "box_counts", "depths")
+
+    def __init__(self, slope: float, intercept: float, residual: float, rms_misfit: float,
+                 box_counts: tuple[int, ...], depths: tuple[int, ...]) -> None:
+        self.__dict__.update(slope=slope, intercept=intercept, residual=residual,
+                             rms_misfit=rms_misfit, box_counts=box_counts, depths=depths)
 
 
 def box_dimension(spec: FractalSpec, k_max: int, cap: int | None = None,

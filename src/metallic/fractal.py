@@ -15,7 +15,6 @@ word positions so published figures can be reproduced exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
@@ -26,6 +25,7 @@ from .errors import (
     EmptyFractal,
     InvalidRemovalCount,
     PolicyIndexMismatch,
+    Record,
     ValidationError,
 )
 from .limits import resolve_cap
@@ -36,37 +36,29 @@ from .tiling import Tile, tiling_at_step
 POLICIES = ("keep-first", "keep-last", "explicit")
 
 
-@dataclass(frozen=True)
-class FractalSpec:
-    params: MetallicParams
-    n: int
-    l: int
-    s: int
-    policy: str = "keep-first"
-    indices: tuple[int, ...] | None = None
+class FractalSpec(Record):
+    _fields = ("params", "n", "l", "s", "policy", "indices")
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __init__(self, params: MetallicParams, n: int, l: int, s: int,
+                 policy: str = "keep-first", indices: tuple[int, ...] | None = None) -> None:
+        self.__dict__.update(params=params, n=n, l=l, s=s, policy=policy, indices=indices)
+        if n < 2:
             raise ValidationError("fractal step index n must be >= 2")
-        if self.policy not in POLICIES:
-            raise ValidationError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        counts = tile_counts(self.params, self.n)
-        if not (0 <= self.l <= counts.N_a):
-            raise InvalidRemovalCount(
-                f"l={self.l} long removals out of range 0..{counts.N_a}"
-            )
-        if not (0 <= self.s <= counts.N_b):
-            raise InvalidRemovalCount(
-                f"s={self.s} short removals out of range 0..{counts.N_b}"
-            )
-        if counts.total - self.l - self.s < 1:
+        if policy not in POLICIES:
+            raise ValidationError(f"policy must be one of {POLICIES}, got {policy!r}")
+        counts = tile_counts(params, n)
+        if not (0 <= l <= counts.N_a):
+            raise InvalidRemovalCount(f"l={l} long removals out of range 0..{counts.N_a}")
+        if not (0 <= s <= counts.N_b):
+            raise InvalidRemovalCount(f"s={s} short removals out of range 0..{counts.N_b}")
+        if counts.total - l - s < 1:
             raise EmptyFractal("removal leaves no surviving tile")
-        if self.policy == "explicit":
-            if self.indices is None:
+        if policy == "explicit":
+            if indices is None:
                 raise PolicyIndexMismatch("explicit policy requires removal indices")
-            object.__setattr__(self, "indices", tuple(sorted(self.indices)))
+            self.__dict__["indices"] = tuple(sorted(indices))
             self._check_explicit_indices()
-        elif self.indices is not None:
+        elif indices is not None:
             raise PolicyIndexMismatch("indices are only valid with the explicit policy")
 
     def _check_explicit_indices(self) -> None:
@@ -116,8 +108,7 @@ def survivors(spec: FractalSpec) -> tuple[Tile, ...]:
 CoverInterval = Tile
 
 
-@dataclass(frozen=True)
-class IntervalCover:
+class IntervalCover(Record):
     """The depth-k stage of the construction.
 
     `intervals` is None for summary covers, which carry only the (exact)
@@ -125,9 +116,11 @@ class IntervalCover:
     spec.
     """
 
-    spec: FractalSpec
-    depth: int
-    intervals: tuple[CoverInterval, ...] | None
+    _fields = ("spec", "depth", "intervals")
+
+    def __init__(self, spec: FractalSpec, depth: int,
+                 intervals: tuple[CoverInterval, ...] | None) -> None:
+        self.__dict__.update(spec=spec, depth=depth, intervals=intervals)
 
     @property
     def count(self) -> int:

@@ -20,39 +20,51 @@ a^2 - b^2*D is a nonzero integer and bounds the value away from zero even
 when a and b*sqrt(D) cancel, so k is chosen from bit lengths to make
 |lo| >= 2^bits at once. `to_double` first tries a bracket |v| wide from
 floor(sqrt(D)*2^192), cached per `MetallicParams`, so no isqrt per call; only
-when |v| is large against the scaled value (deep powers such as gamma^-200)
-does it fall back to this one, returning lo/(m*2^k) once both ends round to the
-same double (int/int division is correctly rounded) and widening k if they do
-not. `to_mpf` rounds lo/(m*2^k) once at the requested precision. In the
-degenerate case the value is a plain rational and both round u + v*gamma over
-den exactly once. Only `to_mpf` and `gamma_mpf` import mpmath.
+when |v| is large against the scaled value (deep powers such as gamma^-200,
+or past gamma^-1760 a bracket too wide to divide into a float) does it fall
+back to this one, returning lo/(m*2^k) once both ends round to the same double
+(int/int division is correctly rounded) and widening k if they do not.
+`to_mpf` rounds lo/(m*2^k) once at the requested precision. In the degenerate
+case the value is a plain rational and both round u + v*gamma over den exactly
+once. Only `to_mpf` and `gamma_mpf` import mpmath.
+
+`MetallicParams` and `QuadElement` are `errors.Record`s: immutable, equal and
+hashed by value. `MetallicParams` keeps a `__dict__` for its cached derived
+values and computes its hash once; `QuadElement` is slotted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import ParamsMismatch
+from .errors import ParamsMismatch, Record
 
 Rational = int | Fraction
 FIXED_BITS = 192  # K of the cached fixed-point sqrt(D) that `to_double` tries first
+# symbols of the named means, for tables, tiling text and figure labels
+MEAN_SYMBOLS = {(1, 1): "φ", (2, 1): "δ", (3, 1): "σ", (1, 2): "α", (1, 3): "β"}
 
 
-@dataclass(frozen=True)
-class MetallicParams:
-    """The pair (p, q) selecting a metallic mean."""
+class MetallicParams(Record):
+    """The pair (p, q) selecting a metallic mean.
 
-    p: int
-    q: int
+    The hash is computed once: every lru_cache keyed by the mean hashes it.
+    Derived values are cached per instance as they are first read.
+    """
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
+    _fields = ("p", "q")
+
+    def __init__(self, p: int, q: int) -> None:
+        if not (isinstance(p, int) and isinstance(q, int)):
             raise ValueError("p and q must be integers")
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"p and q must be >= 1, got p={self.p}, q={self.q}")
+        if p < 1 or q < 1:
+            raise ValueError(f"p and q must be >= 1, got p={p}, q={q}")
+        self.__dict__.update(p=p, q=q, _hash=hash((p, q)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def D(self) -> int:
@@ -105,19 +117,15 @@ class MetallicParams:
         return f"(p={self.p}, q={self.q})"
 
 
-@dataclass(frozen=True, slots=True)
-class QuadElement:
+class QuadElement(Record):
     """An exact element c0 + c1*gamma of Q(gamma)."""
 
-    c0: Fraction
-    c1: Fraction
-    params: MetallicParams
+    __slots__ = _fields = ("c0", "c1", "params")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.c0, Fraction):
-            object.__setattr__(self, "c0", Fraction(self.c0))
-        if not isinstance(self.c1, Fraction):
-            object.__setattr__(self, "c1", Fraction(self.c1))
+    def __init__(self, c0: Rational, c1: Rational, params: MetallicParams) -> None:
+        object.__setattr__(self, "c0", c0 if isinstance(c0, Fraction) else Fraction(c0))
+        object.__setattr__(self, "c1", c1 if isinstance(c1, Fraction) else Fraction(c1))
+        object.__setattr__(self, "params", params)
 
     def _coerce(self, other: QuadElement | Rational) -> QuadElement | None:
         if isinstance(other, QuadElement):
@@ -305,8 +313,11 @@ def to_double(params: MetallicParams, u: int, v: int, den: int) -> float:
         return (u + v * (g or 0)) / den
     lo = ((2 * u + params.p * v) << FIXED_BITS) + v * params.sqrt_d_fixed
     scaled_den = den << (FIXED_BITS + 1)
-    f = lo / scaled_den
-    if f and f == (lo + v) / scaled_den:  # an underflow to 0.0 may carry the wrong sign
+    try:
+        f, f_hi = lo / scaled_den, (lo + v) / scaled_den
+    except OverflowError:  # |v| above ~2^1217 and the terms cancel: the bracket is too wide
+        f = f_hi = 0.0
+    if f and f == f_hi:  # an underflow to 0.0 may carry the wrong sign
         return f
     bits = 64
     while True:

@@ -11,13 +11,12 @@ so identical inputs give byte-identical documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
-from .errors import CapExceeded
+from .errors import CapExceeded, Record
 from .fractal import FractalSpec, _inv_powers, _walk, cover_at_depth  # noqa: F401
 from .limits import RENDER_CAP
-from .quadfield import MetallicParams, to_double
+from .quadfield import MEAN_SYMBOLS, MetallicParams, to_double
 from .substitution import tile_counts, word_at_step
 from .tiling import start_numerators, tiling_at_step  # noqa: F401
 
@@ -25,7 +24,6 @@ from .tiling import start_numerators, tiling_at_step  # noqa: F401
 # cover_at_depth; both names stay bound here because bench/spans.py wraps
 # them in this module when it traces a render.
 
-MEAN_SYMBOLS = {(1, 1): "φ", (2, 1): "δ", (3, 1): "σ", (1, 2): "α", (1, 3): "β"}
 TEX_SYMBOLS = {"φ": r"\phi", "δ": r"\delta", "σ": r"\sigma",
                "α": r"\alpha", "β": r"\beta", "γ": r"\gamma"}
 
@@ -44,13 +42,13 @@ Row = tuple[str, list[tuple[float, float, str, int]]]
 Layout = tuple[str, list[tuple[float, float]], list[tuple[float, str, int]]]
 
 
-@dataclass(frozen=True)
-class RenderPlan:
-    fmt: str = "svg"
+class RenderPlan(Record):
+    _fields = ("fmt",)
 
-    def __post_init__(self) -> None:
-        if self.fmt not in ("svg", "tikz"):
-            raise ValueError(f"format must be svg or tikz, got {self.fmt!r}")
+    def __init__(self, fmt: str = "svg") -> None:
+        if fmt not in ("svg", "tikz"):
+            raise ValueError(f"format must be svg or tikz, got {fmt!r}")
+        self.__dict__.update(fmt=fmt)
 
     def x(self, u: float) -> float:
         return MARGIN + (WIDTH - 2 * MARGIN) * u

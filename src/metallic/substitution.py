@@ -9,21 +9,20 @@ letter by letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CapExceeded
+from .errors import CapExceeded, Record
 from .limits import resolve_cap
 from .quadfield import MetallicParams
 
 
-@dataclass(frozen=True)
-class CountVector:
+class CountVector(Record):
     """Letter counts of the step-n word: N_a long tiles, N_b short tiles."""
 
-    n: int
-    N_a: int
-    N_b: int
+    _fields = ("n", "N_a", "N_b")
+
+    def __init__(self, n: int, N_a: int, N_b: int) -> None:
+        self.__dict__.update(n=n, N_a=N_a, N_b=N_b)
 
     @property
     def total(self) -> int:

@@ -11,12 +11,11 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import attrgetter
 
-from .errors import CapExceeded
+from .errors import CapExceeded, Record
 from .limits import resolve_cap
 from .quadfield import MetallicParams, QuadElement, gamma_pow
 from .substitution import tile_counts, word_at_step
@@ -72,11 +71,11 @@ class Tile:
                 f"length_exponent={self.length_exponent})")
 
 
-@dataclass(frozen=True)
-class Tiling:
-    params: MetallicParams
-    n: int
-    tiles: tuple[Tile, ...]
+class Tiling(Record):
+    _fields = ("params", "n", "tiles")
+
+    def __init__(self, params: MetallicParams, n: int, tiles: tuple[Tile, ...]) -> None:
+        self.__dict__.update(params=params, n=n, tiles=tiles)
 
     def __len__(self) -> int:
         return len(self.tiles)

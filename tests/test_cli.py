@@ -1,9 +1,11 @@
 """End-to-end CLI behaviour: output formats, exit codes, config handling."""
 
+import argparse
 import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from metallic import MetallicParams, QuadElement, cantor_similarity, word_at_step, word_length
-from metallic.cli import main
+from metallic.cli import build_parser, main
 
 GOLDEN = MetallicParams(1, 1)
 
@@ -410,20 +412,69 @@ def test_cli_import_leaves_out_numpy():
 def test_cli_leaves_out_mpmath_unless_dim_or_estimate_runs():
     script = """
 import contextlib, io, sys
+import metallic
+print(sorted({{'metallic.fractal', 'dataclasses'}} & set(sys.modules)))
 import metallic.cli
 print('mpmath' in sys.modules)
 for argv in {argvs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert metallic.cli.main(argv) == 0, argv
 print('mpmath' in sys.modules)
+print(sorted(set({unused!r}) & set(sys.modules)))
+for argv in {renders!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert metallic.cli.main(argv) == 0, argv
+print('mpmath' in sys.modules)
+print(sorted(set({unused!r}) & set(sys.modules)))
 """
-    argvs = [SUBCOMMAND_ARGV[c] for c in ("word", "tiling", "cover", "render", "table")]
+    argvs = [SUBCOMMAND_ARGV[c] for c in ("word", "tiling", "cover", "table")]
     argvs += [["tiling", "--n", "3", "--format", "csv"],
-              ["cover", "--n", "3", "--remove-short", "1", "--depth", "2", "--format", "json"],
-              ["render", "--mode", "stack", "--n", "3", "--format", "tikz"]]
-    result = subprocess.run([sys.executable, "-c", script.format(argvs=argvs)],
+              ["cover", "--n", "3", "--remove-short", "1", "--depth", "2", "--format", "json"]]
+    unused = ["dataclasses", "inspect", "json", "statistics", "metallic.estimate",
+              "metallic.render"]
+    renders = [SUBCOMMAND_ARGV["render"],
+               ["render", "--mode", "stack", "--n", "3", "--format", "tikz"]]
+    result = subprocess.run([sys.executable, "-c", script.format(
+                                argvs=argvs, unused=unused, renders=renders)],
                             env=CHILD_ENV, capture_output=True, text=True, timeout=60)
-    assert (result.returncode, result.stdout, result.stderr) == (0, "False\nFalse\n", "")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "[]\nFalse\nFalse\n[]\nFalse\n['metallic.render']\n"
+
+
+def test_cover_past_the_fixed_point_bracket():
+    # the one depth-900 interval is [1 - gamma^-1800, 1]: its start rounds to 1 and its
+    # length underflows, where the fixed-point float bracket overflowed
+    code, out = run_cli("cover", "--n", "2", "--remove-long", "1", "--depth", "900")
+    assert code == 0
+    (row,) = list(csv.DictReader(io.StringIO(out)))
+    assert (row["start_float"], row["length_exponent"], row["length_float"]) == ("1", "1800", "0")
+
+
+def test_parser_reads_terminal_size_once(monkeypatch):
+    calls = []
+    real = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or real(*a))
+    build_parser()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("columns", ["60", "120"])
+@pytest.mark.parametrize("argv", [["--help"], ["cover", "--help"]])
+def test_help_matches_default_formatter(monkeypatch, columns, argv):
+    monkeypatch.setenv("COLUMNS", columns)
+
+    def help_text(parser):
+        buf = io.StringIO()
+        with redirect_stdout(buf), pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        return buf.getvalue()
+
+    default = build_parser()
+    (subs,) = default._subparsers._group_actions
+    for parser in (default, *subs.choices.values()):
+        parser.formatter_class = argparse.HelpFormatter  # reads the terminal size each time
+    text = help_text(build_parser())
+    assert text == help_text(default)
 
 
 @pytest.mark.parametrize("params, argv, expected", [

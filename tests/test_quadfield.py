@@ -309,3 +309,11 @@ def test_to_double_fixed_point_path_and_fallback(monkeypatch):
     # fixed-point bracket straddles many doubles
     check(GOLDEN, *gamma_pow(GOLDEN, -200).numerators())
     assert calls
+
+
+@pytest.mark.parametrize("m", [1760, 2000, 5000])
+def test_to_double_underflows_where_fixed_point_bracket_overflows(m):
+    # past |v| ~ 2^1217 the fixed-point bracket, divided by 2*den*2^192, is above
+    # the largest double; the isqrt bracket still settles the value
+    assert float(gamma_pow(GOLDEN, -m)) == 0.0
+    assert float(1 - gamma_pow(GOLDEN, -m)) == 1.0
