@@ -55,52 +55,7 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoxCountFit",
-    "CapExceeded",
-    "CharPoly",
-    "CountVector",
-    "CoverInterval",
-    "DimensionReport",
-    "EmptyFractal",
-    "FractalSpec",
-    "HausdorffSum",
-    "IntervalCover",
-    "InvalidRemovalCount",
-    "MetallicError",
-    "MetallicParams",
-    "ParamsMismatch",
-    "PolicyIndexMismatch",
-    "QuadElement",
-    "RenderPlan",
-    "Tile",
-    "TileKind",
-    "Tiling",
-    "ValidationError",
-    "box_count",
-    "box_dimension",
-    "cantor_hausdorff",
-    "cantor_similarity",
-    "char_poly",
-    "cover_at_depth",
-    "cover_summary",
-    "dimension",
-    "empirical_dimension",
-    "gamma_pow",
-    "gaps",
-    "hausdorff_sum",
-    "iter_cover_intervals",
-    "iter_word_at_step",
-    "metallic_sequence",
-    "positive_root",
-    "refine",
-    "render_construction",
-    "render_tiling_stack",
-    "substitute",
-    "survivors",
-    "tile_counts",
-    "tiling_at_step",
-    "total_length",
-    "word_at_step",
-    "word_length",
-]
+# the eager names (each defined in a submodule) and every lazy one
+__all__ = sorted([*(name for name, value in globals().items()
+                    if getattr(value, "__module__", "").startswith(f"{__name__}.")),
+                  *_SUBMODULE])

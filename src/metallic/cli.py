@@ -30,7 +30,7 @@ from math import gcd
 
 from .dimension import cantor_similarity, dimension
 from .errors import CapExceeded, ValidationError
-from .fractal import FractalSpec, check_cover_cap, cover_summary, iter_cover_intervals
+from .fractal import POLICIES, FractalSpec, check_cover_cap, cover_summary, iter_cover_intervals
 from .limits import DEFAULT_BITS, check_bits, resolve_cap
 from .quadfield import MEAN_SYMBOLS, MetallicParams, gamma_pow, to_double
 from .substitution import iter_word_at_step, word_length
@@ -158,8 +158,8 @@ def _add_removal_flags(sub: argparse.ArgumentParser) -> None:
                      help="long tiles removed per level")
     sub.add_argument("--remove-short", type=int, default=0, dest="remove_short",
                      help="short tiles removed per level")
-    sub.add_argument("--policy", choices=("keep-first", "keep-last", "explicit"),
-                     default="keep-first", help="which tiles to remove")
+    sub.add_argument("--policy", choices=POLICIES, default=POLICIES[0],
+                     help="which tiles to remove")
     sub.add_argument("--indices", default=None,
                      help="comma list of word positions to remove (explicit policy)")
 
@@ -429,6 +429,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     sink = _OutFile(args.out) if args.out else sys.stdout
     handler = DISPATCH[args.command]
+    # Word lengths and deep cover numerators can pass Python's int->str limit
+    # (4300 digits); lift it while the command runs, after argv and --config are parsed.
+    int_digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if int_digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         handler(args, sink)
         sink.flush()
@@ -448,6 +453,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if args.out:
             sink.close()
+        if int_digits is not None:
+            sys.set_int_max_str_digits(int_digits)
     return 0
 
 

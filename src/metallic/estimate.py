@@ -32,9 +32,10 @@ from math import isqrt
 from statistics import linear_regression
 
 from .errors import Record
-from .fractal import FractalSpec, IntervalCover, _inv_powers, _walk, check_cover_cap
+from .fractal import FractalSpec, IntervalCover, _walk, check_cover_cap
 from .limits import DEFAULT_BITS, check_bits
 from .quadfield import gamma_pow
+from .tiling import _inv_powers
 
 
 def _multiset_sum(counts: dict[int, int], t, log_gamma: mpmath.mpf) -> mpmath.mpf:

@@ -5,7 +5,9 @@ tiling, then recursively re-tiles every surviving interval with the same
 (scaled) survivor pattern. The depth-k cover is the set of intervals left
 after k rounds; its lengths are pure powers of gamma. One integer walk hands
 each interval out as its start (u + v*gamma)/q^(n*k), length exponent and
-path of tile kinds, held as integers in the tile type.
+path of tile kinds, held as integers in the tile type. Children are laid out
+by `tiling.start_numerators` and kept by the survivor mask; every materialized
+cover, `refine`'s too, comes from `cover_at_depth`.
 
 Which tiles get removed is a free choice (the dimension only sees the counts):
 the default "keep-first" policy drops the last l long and last s short tiles
@@ -16,7 +18,7 @@ word positions so published figures can be reproduced exactly.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import compress
 from math import comb
 from typing import Iterator
 
@@ -31,7 +33,7 @@ from .errors import (
 from .limits import resolve_cap
 from .quadfield import MetallicParams, QuadElement, gamma_pow
 from .substitution import tile_counts, word_at_step
-from .tiling import Tile, tiling_at_step
+from .tiling import Tile, _inv_powers, start_numerators, tiling_at_step
 
 POLICIES = ("keep-first", "keep-last", "explicit")
 
@@ -146,29 +148,11 @@ class IntervalCover(Record):
 
 
 @lru_cache(maxsize=128)
-def _survivor_pattern(spec: FractalSpec) -> tuple[tuple[int, int, str], ...]:
-    """(long tiles before, short tiles before, letter) of each survivor: it
-    starts at longs * gamma^-(n-1) + shorts * gamma^-n in the interval it refines."""
+def _survivor_pattern(spec: FractalSpec) -> tuple[str, tuple[bool, ...]]:
+    """The step-n word and its kept mask, True at each survivor's position."""
     word = word_at_step(spec.params, spec.n)
     removed = removed_positions(spec)
-    longs = accumulate((letter == "a" for letter in word), initial=0)
-    return tuple((a, i - a, letter) for i, (a, letter) in enumerate(zip(longs, word))
-                 if i not in removed)
-
-
-def _inv_powers(params: MetallicParams, e_max: int,
-                scale: tuple[int, int] = (1, 0)) -> tuple[tuple[int, int], ...]:
-    """G[m] = (s0 + s1*gamma) * q^e_max * gamma^-m as integer pairs, m = 0..e_max.
-
-    1/gamma = (gamma - p)/q maps (u, v) to (v - p*u/q, u/q); q^(e_max - m)
-    divides G[m], so every division is exact.
-    """
-    p, q = params.p, params.q
-    g = [(scale[0] * q**e_max, scale[1] * q**e_max)]
-    for _ in range(e_max):
-        u, v = g[-1]
-        g.append((v - p * u // q, u // q))
-    return tuple(g)
+    return word, tuple(i not in removed for i in range(len(word)))
 
 
 def _walk(spec: FractalSpec, depth: int, scale: tuple[int, int] = (1, 0),
@@ -182,8 +166,10 @@ def _walk(spec: FractalSpec, depth: int, scale: tuple[int, int] = (1, 0),
     """
     n = spec.n
     g = _inv_powers(spec.params, n * depth, scale)
-    pattern = [(a, b, n - (letter == "a"), letter if paths else "")
-               for a, b, letter in _survivor_pattern(spec)]
+    word, kept = _survivor_pattern(spec)
+    letters = list(compress(word, kept))
+    shrink = [n - (letter == "a") for letter in letters]
+    tags = letters if paths else [""] * len(letters)
     children: dict[int, list[tuple[int, int, int, str]]] = {}  # by parent exponent
     stack = [(0, 0, 0, "", depth)]
     while stack:
@@ -192,9 +178,10 @@ def _walk(spec: FractalSpec, depth: int, scale: tuple[int, int] = (1, 0),
             yield u, v, e, path
             continue
         if e not in children:
-            (l0, l1), (h0, h1) = g[e + n - 1], g[e + n]
-            children[e] = [(a * l0 + b * h0, a * l1 + b * h1, e + x, letter)
-                           for a, b, x, letter in pattern]
+            # the survivors' starts in a parent gamma^-e long, laid out like the word
+            us, vs = start_numerators(word, g[e + n - 1], g[e + n])
+            children[e] = list(zip(compress(us, kept), compress(vs, kept),
+                                   [e + x for x in shrink], tags))
         if left == 1:
             for du, dv, x, letter in children[e]:
                 yield u + du, v + dv, x, path + letter
@@ -220,8 +207,7 @@ def refine(cover: IntervalCover) -> IntervalCover:
     """Replace every interval by the survivor pattern scaled into it."""
     if cover.intervals is None:
         raise ValidationError("refine needs a materialized cover")
-    return IntervalCover(cover.spec, cover.depth + 1,
-                         tuple(_intervals(cover.spec, cover.depth + 1)))
+    return cover_at_depth(cover.spec, cover.depth + 1)
 
 
 def cover_at_depth(spec: FractalSpec, k: int, cap: int | None = None) -> IntervalCover:

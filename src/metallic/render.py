@@ -3,7 +3,8 @@
 Rows of labeled segments, in the style of the usual inflation-rule pictures:
 one row per step (or per removal stage), tick marks at exact endpoints, tile
 letters above and length labels below. Segment ends come straight from the
-exact integer numerators of the tiling or cover. One layout pass puts every
+exact integer numerators of `tiling.start_numerators` or the cover walker in
+`fractal`. One layout pass puts every
 row in figure coordinates and declutters its labels; the SVG and TikZ writers
 only serialise that layout. Output is plain text assembled deterministically,
 so identical inputs give byte-identical documents.
@@ -14,11 +15,11 @@ from __future__ import annotations
 from itertools import repeat
 
 from .errors import CapExceeded, Record
-from .fractal import FractalSpec, _inv_powers, _walk, cover_at_depth  # noqa: F401
+from .fractal import FractalSpec, _walk, cover_at_depth  # noqa: F401
 from .limits import RENDER_CAP
 from .quadfield import MEAN_SYMBOLS, MetallicParams, to_double
 from .substitution import tile_counts, word_at_step
-from .tiling import start_numerators, tiling_at_step  # noqa: F401
+from .tiling import _inv_powers, start_numerators, tiling_at_step  # noqa: F401
 
 # Rows are laid out from integer numerators, not from tiling_at_step or
 # cover_at_depth; both names stay bound here because bench/spans.py wraps
@@ -56,7 +57,8 @@ class RenderPlan(Record):
 
 def _tiling_row(params: MetallicParams, n: int, label: str) -> Row:
     word = word_at_step(params, n, cap=RENDER_CAP)
-    us, vs = start_numerators(params, n, word)
+    lengths = _inv_powers(params, n)  # step 0 is "b", so lengths[-1] is never used
+    us, vs = start_numerators(word, lengths[n - 1], lengths[n])
     den = params.q**n
     # tile i runs from boundary i to boundary i + 1; the last boundary is 1
     xs = list(map(to_double, repeat(params), us, vs, repeat(den)))

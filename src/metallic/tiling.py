@@ -1,9 +1,12 @@
-"""The step-n tiling of [0,1] with exact endpoints.
+"""The step-n tiling of [0,1] with exact endpoints, and the layout rule it shares.
 
 Letters map to tiles: a is a long tile of length gamma^-(n-1), b a short tile
 of length gamma^-n, laid out left to right in word order. A tile holds the
 integers of its start (u + v*gamma)/q^n; the exact field elements `.start`,
 `.length` and `.end` are built on access, to check the unit length exactly.
+
+`start_numerators`, running sums of lengths from `_inv_powers` (the one table
+of q^E * gamma^-m), is the one layout rule: render and the cover walker use it too.
 """
 
 from __future__ import annotations
@@ -97,29 +100,40 @@ def tiling_at_step(params: MetallicParams, n: int, cap: int | None = None) -> Ti
     count = tile_counts(params, n).total
     if count > limit:
         raise CapExceeded(f"step-{n} tiling has {count} tiles, above cap {limit}")
-    if n == 0:
-        return Tiling(params, 0, (Tile(params, "b", 0, 0, 1, 0),))
-
     word = word_at_step(params, n, cap=limit)
+    lengths = _inv_powers(params, n)  # step 0 is "b", so lengths[-1] is never used
+    us, vs = start_numerators(word[:-1], lengths[n - 1], lengths[n])
     exponents = {"a": n - 1, "b": n}
-    us, vs = start_numerators(params, n, word[:-1])
     return Tiling(params, n, tuple(map(Tile, repeat(params), word, us, vs,
                                        repeat(params.q**n), map(exponents.__getitem__, word))))
 
 
-def start_numerators(params: MetallicParams, n: int,
-                     letters: str) -> tuple[Iterator[int], Iterator[int]]:
-    """(us, vs): the point reached after the first i letters of a step-n
-    tiling is (us[i] + vs[i]*gamma)/q^n, for i = 0..len(letters).
+def _inv_powers(params: MetallicParams, e_max: int,
+                scale: tuple[int, int] = (1, 0)) -> tuple[tuple[int, int], ...]:
+    """G[m] = (s0 + s1*gamma) * q^e_max * gamma^-m as integer pairs, m = 0..e_max.
 
-    us and vs are lazy running sums of the tile lengths. Z[gamma] is closed
-    under the gamma^2 rewrite, so gamma^-m has integer basis coordinates over
-    q^m, and no Fraction arithmetic is needed per tile.
+    1/gamma = (gamma - p)/q maps (u, v) to (v - p*u/q, u/q); q^(e_max - m)
+    divides G[m], so every division is exact.
     """
-    qn = params.q**n
-    long_len, short_len = gamma_pow(params, -(n - 1)), gamma_pow(params, -n)
-    step0 = {"a": int(long_len.c0 * qn), "b": int(short_len.c0 * qn)}
-    step1 = {"a": int(long_len.c1 * qn), "b": int(short_len.c1 * qn)}
+    p, q = params.p, params.q
+    g = [(scale[0] * q**e_max, scale[1] * q**e_max)]
+    for _ in range(e_max):
+        u, v = g[-1]
+        g.append((v - p * u // q, u // q))
+    return tuple(g)
+
+
+def start_numerators(letters: str, long_len: tuple[int, int],
+                     short_len: tuple[int, int]) -> tuple[Iterator[int], Iterator[int]]:
+    """(us, vs): the point reached after the first i letters, laid out from 0
+    with a long and b short, is us[i] + vs[i]*gamma, for i = 0..len(letters).
+
+    The lengths are integer pairs (c0, c1) for c0 + c1*gamma, such as the
+    `_inv_powers` numerators of gamma^-m over a common q^E, and us and vs are
+    lazy running sums of them: no Fraction arithmetic is needed per letter.
+    """
+    step0 = {"a": long_len[0], "b": short_len[0]}
+    step1 = {"a": long_len[1], "b": short_len[1]}
     return (accumulate(map(step0.__getitem__, letters), initial=0),
             accumulate(map(step1.__getitem__, letters), initial=0))
 

@@ -14,7 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from metallic import MetallicParams, QuadElement, cantor_similarity, word_at_step, word_length
+from metallic import (
+    MetallicParams,
+    QuadElement,
+    cantor_similarity,
+    gamma_pow,
+    word_at_step,
+    word_length,
+)
 from metallic.cli import build_parser, main
 
 GOLDEN = MetallicParams(1, 1)
@@ -448,6 +455,28 @@ def test_cover_past_the_fixed_point_bracket():
     assert code == 0
     (row,) = list(csv.DictReader(io.StringIO(out)))
     assert (row["start_float"], row["length_exponent"], row["length_float"]) == ("1", "1800", "0")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int->str digit limit before Python 3.10.7")
+def test_integers_past_the_int_str_limit_print_in_full():
+    # both print integers of more than 4300 digits, Python's default int->str limit
+    limit = sys.get_int_max_str_digits()
+    word_code, word_out = run_cli("word", "--n", "25000")
+    cover_code, cover_out = run_cli("cover", "--n", "2", "--remove-long", "1", "--depth", "10500")
+    assert (word_code, cover_code) == (0, 0)
+    assert sys.get_int_max_str_digits() == limit
+    (row,) = list(csv.DictReader(io.StringIO(cover_out)))
+    # 1 - gamma^-21000 rounds to 1, and gamma^-21000 underflows
+    assert (row["start_float"], row["length_exponent"], row["length_float"]) == ("1", "21000", "0")
+    sys.set_int_max_str_digits(0)  # to read the printed integers back
+    try:
+        assert word_out.splitlines()[1] == f"letters: {word_length(GOLDEN, 25000)}"
+        start = QuadElement(Fraction(int(row["start_c0_num"]), int(row["start_c0_den"])),
+                            Fraction(int(row["start_c1_num"]), int(row["start_c1_den"])), GOLDEN)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert start + gamma_pow(GOLDEN, -21000) == GOLDEN.one()
 
 
 def test_parser_reads_terminal_size_once(monkeypatch):

@@ -255,6 +255,14 @@ def test_cover_cap():
         cover_at_depth(SPEC_411, 10, cap=100)
 
 
+def test_refine_respects_the_cap(monkeypatch):
+    monkeypatch.setenv("METALLIC_CAP", "5")
+    cover = cover_at_depth(SPEC_301, 2)
+    assert len(cover.intervals) == 4
+    with pytest.raises(CapExceeded):
+        refine(cover)  # depth 3 has 8 intervals
+
+
 def test_summary_cover_has_no_intervals():
     cover = cover_summary(SPEC_411, 3)
     assert cover.intervals is None

@@ -1,0 +1,104 @@
+"""Property tests of the shared layout: step-n tilings and removal covers.
+
+The tiling and the cover walker both place letters with one running sum of
+integer lengths (`tiling.start_numerators`). These properties check what it
+lays out against exact field arithmetic that does not use it: signs of
+QuadElement differences, and sums of `gamma_pow` lengths.
+"""
+
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from metallic import (
+    FractalSpec,
+    MetallicParams,
+    gamma_pow,
+    iter_cover_intervals,
+    survivors,
+    tile_counts,
+    tiling_at_step,
+    word_at_step,
+)
+from metallic.fractal import POLICIES
+
+MAX_INTERVALS = 4096
+MAX_DEPTH = 4
+
+means = st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda pq: MetallicParams(*pq))
+
+
+@st.composite
+def specs(draw):
+    """A valid (p, q, n, l, s, policy, indices) spec with n <= 4."""
+    params, n = draw(means), draw(st.integers(2, 4))
+    counts = tile_counts(params, n)
+    l = draw(st.integers(0, counts.N_a))
+    s = draw(st.integers(0, min(counts.N_b, counts.total - l - 1)))  # one tile survives
+    policy = draw(st.sampled_from(POLICIES))
+    if policy != "explicit":
+        return FractalSpec(params, n, l, s, policy)
+    word = word_at_step(params, n)
+    longs = [i for i, ch in enumerate(word) if ch == "a"]
+    shorts = [i for i, ch in enumerate(word) if ch == "b"]
+    picked = draw(st.permutations(longs))[:l] + draw(st.permutations(shorts))[:s]
+    return FractalSpec(params, n, l, s, policy, tuple(picked))
+
+
+@st.composite
+def covers(draw):
+    """A spec and a depth k <= 4 whose cover has at most 4096 intervals."""
+    spec = draw(specs())
+    per_level = sum(spec.survivor_counts)
+    depth = draw(st.integers(0, MAX_DEPTH))
+    while per_level**depth > MAX_INTERVALS:
+        depth -= 1
+    return spec, depth
+
+
+@settings(max_examples=100, deadline=None)
+@given(covers())
+def test_cover_sorted_disjoint_inside_unit_interval(case):
+    spec, k = case
+    params = spec.params
+    intervals = list(iter_cover_intervals(spec, k))
+    assert intervals[0].start.sign() >= 0
+    assert (params.one() - intervals[-1].end).sign() >= 0
+    for left, right in zip(intervals, intervals[1:]):
+        assert (right.start - left.end).sign() >= 0
+        assert left.length.sign() > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(covers())
+def test_cover_count_and_total_length(case):
+    spec, k = case
+    params, n = spec.params, spec.n
+    na, nb = spec.survivor_counts
+    exponents = Counter(iv.length_exponent for iv in iter_cover_intervals(spec, k))
+    assert sum(exponents.values()) == (na + nb) ** k
+    total = sum((c * gamma_pow(params, -m) for m, c in exponents.items()), params.zero())
+    per_level = na * gamma_pow(params, -(n - 1)) + nb * gamma_pow(params, -n)
+    assert total == per_level**k
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs())
+def test_depth_one_cover_is_the_survivor_tiles(spec):
+    walked = [(iv.start, iv.length_exponent, iv.kind_path) for iv in iter_cover_intervals(spec, 1)]
+    kept = [(t.start, t.length_exponent, t.kind_path) for t in survivors(spec)]
+    assert walked == kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(means, st.integers(0, 8))
+def test_tile_starts_are_sums_of_the_lengths_before(params, n):
+    tiling = tiling_at_step(params, n)
+    lengths = {m: gamma_pow(params, -m) for m in (n - 1, n)}
+    point = params.zero()
+    for tile in tiling.tiles:
+        assert tile.start == point
+        assert tile.length_exponent == (n - 1 if tile.kind_path == "a" else n)
+        point = point + lengths[tile.length_exponent]
+    assert point == params.one()
