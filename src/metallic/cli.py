@@ -336,7 +336,7 @@ def cmd_dim(args: argparse.Namespace, out: io.TextIOBase) -> None:
         "gamma": spec.params.gamma_float,
         "residual": report.root_residual,
     }
-    out.write(json.dumps(payload) + "\n")
+    out.write(json.dumps(payload, allow_nan=False) + "\n")  # ValueError, not Infinity
 
 
 def cmd_cover(args: argparse.Namespace, out: io.TextIOBase) -> None:
@@ -389,11 +389,11 @@ def cmd_render(args: argparse.Namespace, out: io.TextIOBase) -> None:
 def cmd_table(args: argparse.Namespace, out: io.TextIOBase) -> None:
     extras = [_parse_extra(text) for text in args.extra]
     rows = [*NAMED_MEANS, *((f"({e.p},{e.q})", e.p, e.q) for e in extras)]
+    values = [MetallicParams(p, q).gamma_float for _, p, q in rows]  # overflows before any output
     out.write(f"{'name':<10} {'p':>3} {'q':>3}  {'symbol':<6} {'value':<14}\n")
-    for name, p, q in rows:
-        params = MetallicParams(p, q)
+    for (name, p, q), value in zip(rows, values):
         symbol = MEAN_SYMBOLS.get((p, q), "γ")
-        out.write(f"{name:<10} {p:>3} {q:>3}  {symbol:<6} {params.gamma_float:.10f}\n")
+        out.write(f"{name:<10} {p:>3} {q:>3}  {symbol:<6} {value:.10f}\n")
 
 
 DISPATCH = {
@@ -442,6 +442,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a mean past the largest double, from gamma_float
+        print(f"error: value past the double range: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # The reader closed stdout (`metallic cover ... | head`). Point stdout

@@ -8,16 +8,16 @@ condition reduce to the same polynomial
     g(x) = x^n - N_a' * x - N_b' = 0,
 
 which has exactly one positive root x~ (one coefficient sign change), lying in
-[1, gamma]. The dimension is d = log(x~) / log(gamma). The root is bracketed
-by bisection with exact rational signs (integer coefficients make g exact at
-rational points), then polished with a few Newton steps in high precision, so
-the result is deterministic and immune to cancellation at large n.
+[1, gamma]. The dimension is d = log(x~) / log(gamma). The root is found by
+integer Newton steps on the scaled polynomial 2^(kn) * g(X / 2^k), started
+above x~; g is convex and increasing right of x~, so every iterate stays an
+upper bound, and exact integer signs leave (X - 1)/2^k < x~ <= X/2^k. The
+result is deterministic and immune to cancellation at large n.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import EmptyFractal, Record
@@ -33,8 +33,8 @@ class CharPoly(Record):
     _fields = ("degree", "linear_coeff", "constant_coeff")
 
     def __init__(self, degree: int, linear_coeff: int, constant_coeff: int) -> None:
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
+        if degree < 2:  # below 2, g is not convex and (1 - a)x - b may have no positive root
+            raise ValueError("degree must be >= 2")
         if linear_coeff < 0 or constant_coeff < 0:
             raise ValueError("coefficients must be >= 0")
         if linear_coeff + constant_coeff < 1:
@@ -42,14 +42,9 @@ class CharPoly(Record):
         self.__dict__.update(degree=degree, linear_coeff=linear_coeff,
                              constant_coeff=constant_coeff)
 
-    def eval_exact(self, x: Fraction) -> Fraction:
+    def __call__(self, x):
+        """g(x), exact for int and Fraction x, at working precision for mpf x."""
         return x**self.degree - self.linear_coeff * x - self.constant_coeff
-
-    def eval_mpf(self, x: mpmath.mpf) -> mpmath.mpf:
-        return x**self.degree - self.linear_coeff * x - self.constant_coeff
-
-    def deriv_mpf(self, x: mpmath.mpf) -> mpmath.mpf:
-        return self.degree * x ** (self.degree - 1) - self.linear_coeff
 
     def __str__(self) -> str:
         return f"x^{self.degree} - {self.linear_coeff}x - {self.constant_coeff}"
@@ -66,42 +61,31 @@ def char_poly(spec: FractalSpec) -> CharPoly:
 def positive_root(poly: CharPoly, bits: int = DEFAULT_BITS) -> mpmath.mpf:
     """The unique positive root of g, at `bits` binary precision.
 
-    Bisection on rational points (exact signs) down to relative width 1e-15,
-    then at most 5 Newton steps in working precision `bits`.
+    With a, b the linear and constant coefficients, G(X) = X^n - a*X*2^(k(n-1))
+    - b*2^(kn) = 2^(kn)*g(X/2^k) is exact in integers. Newton steps
+    X -= floor(G/G') start at or above (a + b)^(1/(n-1)), an upper bound on x~
+    (x^(n-1) >= a + b gives g(x) >= 0 for x >= 1), and stay above x~. They run
+    to a zero step with k = 40 fraction bits, where powers are cheap, then with
+    k = bits + 8. X is then lowered while G(X - 1) >= 0, so
+    (X - 1)/2^k < x~ <= X/2^k holds by exact signs.
     """
     import mpmath
-    one = Fraction(1)
-    if poly.eval_exact(one) == 0:
-        # single survivor: x^n = x or x^n = 1, root exactly 1
-        return mpmath.mpf(1)
-    lo = one
-    hi = Fraction(2)
-    while poly.eval_exact(hi) < 0:
-        hi *= 2
-    width_goal = hi / 10**15
-    while hi - lo > width_goal:
-        mid = (lo + hi) / 2
-        v = poly.eval_exact(mid)
-        if v == 0:
-            return _newton_polish(poly, mid, bits)
-        if v < 0:
-            lo = mid
-        else:
-            hi = mid
-    return _newton_polish(poly, (lo + hi) / 2, bits)
-
-
-def _newton_polish(poly: CharPoly, x0: Fraction, bits: int) -> mpmath.mpf:
-    import mpmath
-    with mpmath.workprec(bits):
-        x = mpmath.mpf(x0.numerator) / x0.denominator
-        eps = mpmath.mpf(2) ** (5 - bits)
-        for _ in range(5):
-            step = poly.eval_mpf(x) / poly.deriv_mpf(x)
-            x = x - step
-            if abs(step) <= eps * x:
+    n, a, b = poly.degree, poly.linear_coeff, poly.constant_coeff
+    seed = math.log2(a + b) / (n - 1) + 2.0**-40  # log2 of the bound, rounded up
+    x = int(2.0 ** (seed % 1 + 40)) << int(seed)  # 2^seed with 40 fraction bits
+    for k, shift in ((40, 0), (bits + 8, bits - 32)):
+        x <<= shift
+        a_k, b_k = a << (k * (n - 1)), b << (k * n)  # G(X) = (X^(n-1) - a_k)*X - b_k
+        while True:
+            x_pow = x ** (n - 1)
+            step = ((x_pow - a_k) * x - b_k) // (n * x_pow - a_k)
+            if not step:
                 break
-        return x
+            x -= step
+    while ((x - 1) ** (n - 1) - a_k) * (x - 1) >= b_k:
+        x -= 1
+    with mpmath.workprec(bits):
+        return mpmath.mpf((x, -k))
 
 
 class DimensionReport(Record):
@@ -122,7 +106,7 @@ def dimension(spec: FractalSpec, bits: int = DEFAULT_BITS) -> DimensionReport:
         root = positive_root(poly, bits)
         gamma = spec.params.gamma_mpf(bits)
         dim = mpmath.log(root) / mpmath.log(gamma)
-        residual = abs(poly.eval_mpf(root))
+        residual = abs(poly(root))
     return DimensionReport(spec, poly, float(root), float(dim), float(residual))
 
 

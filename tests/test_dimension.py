@@ -1,9 +1,13 @@
 """Characteristic polynomials, their positive roots, and dimension values."""
 
 import math
+import time
+from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metallic import (
     CharPoly,
@@ -155,6 +159,60 @@ def test_cantor_validation():
 def test_empty_poly_rejected():
     with pytest.raises(EmptyFractal):
         CharPoly(3, 0, 0)
+
+
+def test_degree_below_two_rejected():
+    # (1 - 2)x - 0 = -x has no positive root
+    with pytest.raises(ValueError, match="degree must be >= 2"):
+        CharPoly(1, 2, 0)
+
+
+def ulp_neighbours(root, bits):
+    """root - ulp and root + ulp as exact Fractions, ulp at `bits` binary digits."""
+    value = Fraction(int(root.man)) * Fraction(2) ** int(root.exp)
+    ulp = Fraction(2) ** int(root.exp + root.bc - bits)
+    return value - ulp, value + ulp
+
+
+def test_root_past_the_double_range():
+    poly = CharPoly(2, 10**400, 1)
+    start = time.perf_counter()
+    root = positive_root(poly)
+    assert time.perf_counter() - start < 1
+    below, above = ulp_neighbours(root, 128)
+    assert poly(below) < 0 < poly(above)
+
+
+@st.composite
+def spec_polys(draw):
+    """The polynomial of a (p, q, n, l, s) spec with p, q <= 6 and n <= 300."""
+    params = MetallicParams(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    n = draw(st.integers(2, 300))
+    counts = tile_counts(params, n)
+    l = draw(st.integers(0, counts.N_a))
+    s = draw(st.integers(0, min(counts.N_b, counts.total - l - 1)))  # one tile survives
+    return CharPoly(n, counts.N_a - l, counts.N_b - s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec_polys(), st.sampled_from([53, 128, 200]))
+def test_root_bracketed_by_exact_signs(poly, bits):
+    below, above = ulp_neighbours(positive_root(poly, bits), bits)
+    assert poly(below) < 0 < poly(above)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec_polys())
+def test_root_rounds_like_a_400_bit_reference(poly):
+    root = positive_root(poly)
+    with mpmath.workprec(400):
+        reference = mpmath.findroot(poly, root, verify=False)
+        newton_step = poly(reference) / (poly.degree * reference ** (poly.degree - 1)
+                                         - poly.linear_coeff)
+        assert abs(newton_step) <= reference * mpmath.mpf(2) ** -300
+    expected = float(reference)  # rounded to nearest
+    assert float(root) == expected
+    assert abs(float(positive_root(poly, bits=53)) - expected) <= math.ulp(expected)
 
 
 def test_root_deterministic():

@@ -3,10 +3,13 @@
 The tiling and the cover walker both place letters with one running sum of
 integer lengths (`tiling.start_numerators`). These properties check what it
 lays out against exact field arithmetic that does not use it: signs of
-QuadElement differences, and sums of `gamma_pow` lengths.
+QuadElement differences, and sums of `gamma_pow` lengths. The walker's box
+counts are checked the same way, and the dimension against removal counts.
 """
 
+import math
 from collections import Counter
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,9 @@ from hypothesis import strategies as st
 from metallic import (
     FractalSpec,
     MetallicParams,
+    box_count,
+    cover_at_depth,
+    dimension,
     gamma_pow,
     iter_cover_intervals,
     survivors,
@@ -47,12 +53,12 @@ def specs(draw):
 
 
 @st.composite
-def covers(draw):
-    """A spec and a depth k <= 4 whose cover has at most 4096 intervals."""
+def covers(draw, max_intervals=MAX_INTERVALS):
+    """A spec and a depth k <= 4 whose cover has at most `max_intervals` intervals."""
     spec = draw(specs())
     per_level = sum(spec.survivor_counts)
     depth = draw(st.integers(0, MAX_DEPTH))
-    while per_level**depth > MAX_INTERVALS:
+    while per_level**depth > max_intervals:
         depth -= 1
     return spec, depth
 
@@ -102,3 +108,49 @@ def test_tile_starts_are_sums_of_the_lengths_before(params, n):
         assert tile.length_exponent == (n - 1 if tile.kind_path == "a" else n)
         point = point + lengths[tile.length_exponent]
     assert point == params.one()
+
+
+@st.composite
+def removals(draw):
+    """(params, n, l, s) with n <= 8 that leaves at least two tiles."""
+    params, n = draw(means), draw(st.integers(2, 8))
+    counts = tile_counts(params, n)
+    l = draw(st.integers(0, min(counts.N_a, counts.total - 2)))
+    s = draw(st.integers(0, min(counts.N_b, counts.total - l - 2)))
+    return params, n, l, s
+
+
+@settings(max_examples=100, deadline=None)
+@given(removals())
+def test_dimension_falls_as_removals_grow(case):
+    params, n, l, s = case
+    counts = tile_counts(params, n)
+    dim = dimension(FractalSpec(params, n, l, s)).dim
+    if l < counts.N_a:
+        assert dimension(FractalSpec(params, n, l + 1, s)).dim < dim
+    if s < counts.N_b:
+        assert dimension(FractalSpec(params, n, l, s + 1)).dim < dim
+
+
+def exact_floor(x):
+    """floor(x) of a QuadElement, settled by exact signs."""
+    j = math.floor(float(x))
+    while (x - j).sign() < 0:
+        j -= 1
+    while (x - (j + 1)).sign() >= 0:
+        j += 1
+    return j
+
+
+@settings(max_examples=60, deadline=None)
+@given(covers(max_intervals=512), st.integers(2, 200), st.data())
+def test_box_counts_equal_an_exact_floor_count(case, den, data):
+    spec, k = case
+    eps = Fraction(data.draw(st.integers(1, den - 1)), den)
+    cover = cover_at_depth(spec, k)
+    boxes = set()
+    for iv in cover.intervals:
+        # [start, end) meets the boxes [j*eps, (j+1)*eps) with floor(start/eps) <= j < end/eps
+        first, last = exact_floor(iv.start / eps), -exact_floor(-iv.end / eps) - 1
+        boxes.update(range(first, last + 1))
+    assert box_count(cover, eps) == len(boxes)
