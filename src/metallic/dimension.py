@@ -8,11 +8,8 @@ condition reduce to the same polynomial
     g(x) = x^n - N_a' * x - N_b' = 0,
 
 which has exactly one positive root x~ (one coefficient sign change), lying in
-[1, gamma]. The dimension is d = log(x~) / log(gamma). The root is found by
-integer Newton steps on the scaled polynomial 2^(kn) * g(X / 2^k), started
-above x~; g is convex and increasing right of x~, so every iterate stays an
-upper bound, and exact integer signs leave (X - 1)/2^k < x~ <= X/2^k. The
-result is deterministic and immune to cancellation at large n.
+[1, gamma]. The dimension is d = log(x~) / log(gamma). `_root_bracket` finds x~
+in exact integers, for g here and for the cover polynomials of `estimate`.
 """
 
 from __future__ import annotations
@@ -52,40 +49,64 @@ class CharPoly(Record):
 
 def char_poly(spec: FractalSpec) -> CharPoly:
     """Characteristic polynomial of the fractal from its survivor counts."""
-    na, nb = spec.survivor_counts
-    if na + nb == 0:
-        raise EmptyFractal("no surviving tiles")
-    return CharPoly(spec.n, na, nb)
+    return CharPoly(spec.n, *spec.survivor_counts)  # EmptyFractal without survivors
+
+
+def _root_bracket(degree: int, terms, bits: int) -> tuple[int, int]:
+    """(X, k = bits + 8) with (X - 1)/2^k < x~ <= X/2^k, x~ the positive root of
+    P(x) = x^degree - sum c*x^j over the (j, c) in `terms`: j < degree, c >= 0,
+    not all 0.
+
+    X starts at or above max_j (m*c_j)^(1/(degree-j)) over the m nonzero terms
+    (x^(degree-j) >= m*c_j for each j gives x^degree >= sum c_j*x^j). While
+    G(X - 1) >= 0, with G(X) = 2^(k*degree)*P(X/2^k) exact in integers, X takes
+    a Newton step from X - 1; P is convex and increasing right of x~, so X stays
+    at or above x~*2^k. This runs at k = 40, where powers are cheap, then at
+    k = bits + 8.
+    """
+    terms = [(j, c) for j, c in terms if c]
+    seed = max([math.log2(len(terms) * c) / (degree - j) for j, c in terms])
+    seed = seed * (1 + 2.0**-45) + 2.0**-40  # log2 of the bound, past float error
+    x = (int(2.0 ** (seed % 1 + 40)) + 1) << int(seed)  # 2^seed with 40 fraction bits
+    top = max(terms)[0]
+    lead = degree - top  # G = (...((X^lead - C_top)*X - C_(top-1))*X ...)*X - C_0
+    for k, shift in ((40, 0), (bits + 8, bits - 32)):
+        x <<= shift
+        rest = [0] * (top + 1)  # C_j = c_j*2^(k*(degree-j)), highest j first
+        for j, c in terms:
+            rest[top - j] = c << (k * (degree - j))
+        c_top = rest.pop(0)
+        while True:  # G and G' at X - 1 by Horner's rule
+            y = x - 1
+            y_pow = y ** (lead - 1)
+            g, slope = y_pow * y - c_top, lead * y_pow
+            for c in rest:
+                g, slope = g * y - c, slope * y + g
+            if g < 0:
+                break
+            x = y - g // slope
+    return x, k
+
+
+def _char_terms(poly: CharPoly) -> tuple[tuple[int, int], tuple[int, int]]:
+    return (1, poly.linear_coeff), (0, poly.constant_coeff)
 
 
 def positive_root(poly: CharPoly, bits: int = DEFAULT_BITS) -> mpmath.mpf:
-    """The unique positive root of g, at `bits` binary precision.
-
-    With a, b the linear and constant coefficients, G(X) = X^n - a*X*2^(k(n-1))
-    - b*2^(kn) = 2^(kn)*g(X/2^k) is exact in integers. Newton steps
-    X -= floor(G/G') start at or above (a + b)^(1/(n-1)), an upper bound on x~
-    (x^(n-1) >= a + b gives g(x) >= 0 for x >= 1), and stay above x~. They run
-    to a zero step with k = 40 fraction bits, where powers are cheap, then with
-    k = bits + 8. X is then lowered while G(X - 1) >= 0, so
-    (X - 1)/2^k < x~ <= X/2^k holds by exact signs.
-    """
+    """The unique positive root of g, rounded at `bits` from `_root_bracket`."""
     import mpmath
-    n, a, b = poly.degree, poly.linear_coeff, poly.constant_coeff
-    seed = math.log2(a + b) / (n - 1) + 2.0**-40  # log2 of the bound, rounded up
-    x = int(2.0 ** (seed % 1 + 40)) << int(seed)  # 2^seed with 40 fraction bits
-    for k, shift in ((40, 0), (bits + 8, bits - 32)):
-        x <<= shift
-        a_k, b_k = a << (k * (n - 1)), b << (k * n)  # G(X) = (X^(n-1) - a_k)*X - b_k
-        while True:
-            x_pow = x ** (n - 1)
-            step = ((x_pow - a_k) * x - b_k) // (n * x_pow - a_k)
-            if not step:
-                break
-            x -= step
-    while ((x - 1) ** (n - 1) - a_k) * (x - 1) >= b_k:
-        x -= 1
+    x, k = _root_bracket(poly.degree, _char_terms(poly), bits)
     with mpmath.workprec(bits):
         return mpmath.mpf((x, -k))
+
+
+def _log_ratio(bracket: tuple[int, int], params, bits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """The root X/2^k of a bracket rounded at `bits`, and log(root)/log(gamma)."""
+    import mpmath
+    x, k = bracket
+    with mpmath.workprec(bits):
+        root = mpmath.mpf((x, -k))
+        return root, mpmath.log(root) / mpmath.log(params.gamma_mpf(bits))
 
 
 class DimensionReport(Record):
@@ -99,13 +120,11 @@ class DimensionReport(Record):
 def dimension(spec: FractalSpec, bits: int = DEFAULT_BITS) -> DimensionReport:
     """Similarity dimension of the fractal (the Hausdorff value coincides:
     both derivations end at the same root equation)."""
-    import mpmath
     check_bits(bits)
     poly = char_poly(spec)
+    root, dim = _log_ratio(_root_bracket(poly.degree, _char_terms(poly), bits), spec.params, bits)
+    import mpmath
     with mpmath.workprec(bits):
-        root = positive_root(poly, bits)
-        gamma = spec.params.gamma_mpf(bits)
-        dim = mpmath.log(root) / mpmath.log(gamma)
         residual = abs(poly(root))
     return DimensionReport(spec, poly, float(root), float(dim), float(residual))
 

@@ -2,12 +2,12 @@
 
 Two independent estimators work straight from covers:
 
-* cover sums: S_k(t) = sum over depth-k intervals of |I|^t. Because every
-  survivor is re-tiled with one fixed pattern, S_k(t) = Y(t)^k where Y is the
-  depth-1 sum, and the exponent t where S crosses 1 is depth-independent. The
-  sums need only the cover's length multiset, so deep covers never have to be
-  materialized; gamma^(-m*t) is evaluated as exp(-m*t*log gamma) in working
-  precision since m*t can reach a few hundred.
+* cover sums: S_k(t) = sum over depth-k intervals of |I|^t = sum c_m*gamma^(-m*t)
+  over the cover's length multiset {m: c_m}, so deep covers are never
+  materialized. Every survivor is re-tiled with one fixed pattern, so
+  S_k(t) = Y(t)^k for the depth-1 sum Y, and S_k crosses 1 where Y does: with
+  x = gamma^t and N = n*k, at the positive root of x^N - sum c_m*x^(N-m),
+  which is bracketed in integers like the root of `dimension`.
 
 * box counting: N(eps) over the grid [j*eps, (j+1)*eps), counted exactly.
   Every cover endpoint lies in Z[1/q][gamma], so the tree walker in
@@ -31,6 +31,7 @@ from fractions import Fraction
 from math import isqrt
 from statistics import linear_regression
 
+from .dimension import _log_ratio, _root_bracket
 from .errors import Record
 from .fractal import FractalSpec, IntervalCover, _walk, check_cover_cap
 from .limits import DEFAULT_BITS, check_bits
@@ -70,36 +71,14 @@ def hausdorff_sum(cover: IntervalCover, t: float, bits: int = DEFAULT_BITS) -> H
 
 
 def empirical_dimension(cover: IntervalCover, bits: int = DEFAULT_BITS) -> float:
-    """The exponent t in [0,1] where the cover sum equals 1, by bisection.
-
-    A single-survivor spec shrinks to one point; its exponent is 0 by
-    convention. A removal-free spec has total length 1 at every depth, giving
-    exactly 1.
-    """
+    """The exponent t where the cover sum S_k(t) equals 1: the root x~ of
+    `dimension` (see the module docstring), so t is the same double."""
     check_bits(bits)
     if cover.depth < 1:
         raise ValueError("cover depth must be >= 1")
-    spec = cover.spec
-    na, nb = spec.survivor_counts
-    if na + nb == 1:
-        return 0.0
-    if spec.l == 0 and spec.s == 0:
-        # full tilings: the sum at t=1 is exactly 1 at every depth
-        return 1.0
-    import mpmath
-    counts = cover.exponent_counts()
-    with mpmath.workprec(bits):
-        log_gamma = mpmath.log(spec.params.gamma_mpf(bits))
-        if _multiset_sum(counts, mpmath.mpf(1), log_gamma) >= 1:
-            return 1.0
-        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
-        while hi - lo > mpmath.mpf("1e-13"):
-            mid = (lo + hi) / 2
-            if _multiset_sum(counts, mid, log_gamma) >= 1:
-                lo = mid
-            else:
-                hi = mid
-        return float((lo + hi) / 2)
+    degree = cover.spec.n * cover.depth
+    terms = [(degree - m, c) for m, c in cover.exponent_counts().items()]
+    return float(_log_ratio(_root_bracket(degree, terms, bits), cover.spec.params, bits)[1])
 
 
 def _count_boxes(spec: FractalSpec, depth: int, scale: tuple[int, int], den: int) -> int:
@@ -138,8 +117,7 @@ def box_count(cover: IntervalCover, eps, bits: int = DEFAULT_BITS) -> int:
     eps (int, float, Fraction or mpmath mpf) is used at its exact rational
     value and the count is exact; bits is not needed for that and is ignored.
     """
-    import mpmath
-    if isinstance(eps, mpmath.mpf):
+    if hasattr(eps, "man") and hasattr(eps, "exp"):  # an mpf, read without importing mpmath
         eps = Fraction(eps.man) * Fraction(2) ** eps.exp
     eps = Fraction(eps)
     if not 0 < eps < 1:

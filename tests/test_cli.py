@@ -299,14 +299,21 @@ HUGE_P = str(10**399 + 7)  # its mean is past the largest double, 1.8e308
 @pytest.mark.parametrize("argv", [
     ["table", "--extra", f"{HUGE_P},1"],
     ["dim", "--p", HUGE_P, "--n", "2", "--remove-long", "1"],
-    # the absolute residual |g(root)| is past the double range; root and dim are not
-    ["dim", "--p", "1", "--n", "2000"],
 ])
 def test_values_past_the_double_range_exit_2(argv, capsys):
     with redirect_stdout(_NoOutput()):
         assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_dim_residual_past_the_double_range_is_null():
+    # the absolute residual |g(root)| is past the double range; root and dim are not
+    code, out = run_cli("dim", "--p", "1", "--n", "2000")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["residual"] is None
+    assert payload["root"] == GOLDEN.gamma_float and payload["dim"] == 1.0
 
 
 def test_word_deep_step_streams():

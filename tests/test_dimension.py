@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metallic import (
@@ -17,11 +17,13 @@ from metallic import (
     cantor_hausdorff,
     cantor_similarity,
     char_poly,
+    cover_summary,
     dimension,
     gamma_pow,
     positive_root,
     tile_counts,
 )
+from metallic.dimension import _root_bracket
 
 GOLDEN = MetallicParams(1, 1)
 SILVER = MetallicParams(2, 1)
@@ -181,6 +183,14 @@ def test_root_past_the_double_range():
     assert time.perf_counter() - start < 1
     below, above = ulp_neighbours(root, 128)
     assert poly(below) < 0 < poly(above)
+    # near-monomials, where the constant term dominates: the seed b^(1/n) is
+    # the root itself, and a seed of (a + b)^(1/(n - 1)) took ~2,000 steps
+    start = time.perf_counter()
+    assert positive_root(CharPoly(5, 0, 2**4000)) == 2**800
+    for poly in (CharPoly(5, 0, 10**4000), CharPoly(2, 0, 10**400), CharPoly(5, 1, 10**4000)):
+        below, above = ulp_neighbours(positive_root(poly), 128)
+        assert poly(below) < 0 < poly(above)
+    assert time.perf_counter() - start < 1
 
 
 @st.composite
@@ -196,6 +206,8 @@ def spec_polys(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(spec_polys(), st.sampled_from([53, 128, 200]))
+@example(CharPoly(5, 0, 10**4000), 128)
+@example(CharPoly(2, 0, 10**400), 53)
 def test_root_bracketed_by_exact_signs(poly, bits):
     below, above = ulp_neighbours(positive_root(poly, bits), bits)
     assert poly(below) < 0 < poly(above)
@@ -219,3 +231,23 @@ def test_root_deterministic():
     a = positive_root(CharPoly(4, 2, 1))
     b = positive_root(CharPoly(4, 2, 1))
     assert a == b
+
+
+@pytest.mark.parametrize("p, q, n, l, s", [
+    (1, 1, 4, 1, 1), (2, 1, 2, 1, 0), (1, 1, 3, 0, 1), (3, 3, 5, 2, 1), (1, 1, 2, 1, 0),
+])
+def test_cover_polynomial_has_the_char_poly_bracket(p, q, n, l, s):
+    # S_k = Y^k: x^(nk) - sum c_m x^(nk-m) and g share their positive root,
+    # and a bracket at k fraction bits depends only on the root
+    spec = FractalSpec(MetallicParams(p, q), n, l, s)
+    poly = char_poly(spec)
+    for bits in (53, 128):
+        expected = _root_bracket(poly.degree, ((1, poly.linear_coeff), (0, poly.constant_coeff)),
+                                 bits)
+        x, k = expected
+        assert k == bits + 8 and poly(Fraction(x - 1, 2**k)) < 0 <= poly(Fraction(x, 2**k))
+        for depth in (1, 2, 5, 12):
+            degree = spec.n * depth
+            counts = cover_summary(spec, depth).exponent_counts()
+            terms = [(degree - m, c) for m, c in counts.items()]
+            assert _root_bracket(degree, terms, bits) == expected

@@ -23,6 +23,7 @@ from metallic import (
     empirical_dimension,
     hausdorff_sum,
 )
+from test_acceptance import _criterion3_grid
 
 GOLDEN = MetallicParams(1, 1)
 SILVER = MetallicParams(2, 1)
@@ -76,6 +77,18 @@ def test_empirical_matches_analytic(spec, k):
     assert abs(empirical_dimension(cover_summary(spec, k)) - dimension(spec).dim) <= 1e-9
 
 
+def test_empirical_equals_analytic_bit_for_bit():
+    # the cover polynomial's root is the characteristic polynomial's, and one
+    # integer bracket per root gives one double
+    for spec in _criterion3_grid():
+        analytic = dimension(spec).dim
+        for k in (1, 2, 4, 6):
+            assert empirical_dimension(cover_summary(spec, k)) == analytic, (spec, k)
+        for k in (1, 2, 3):
+            if cover_summary(spec, k).count <= 10_000:  # 4.4e5 intervals at most: 6.5 s
+                assert empirical_dimension(cover_at_depth(spec, k)) == analytic, (spec, k)
+
+
 def test_empirical_no_removal_is_one():
     spec = FractalSpec(GOLDEN, 3, 0, 0)
     for k in (1, 3, 5):
@@ -95,6 +108,7 @@ def test_empirical_requires_depth():
 def test_box_count_unit_interval():
     cover = cover_at_depth(FractalSpec(GOLDEN, 3, 0, 0), 0)
     assert box_count(cover, 0.25) == 4
+    assert box_count(cover, mpmath.mpf(0.25)) == 4
     assert box_count(cover, 1 - 1e-12) == 2  # [0,eps) and the sliver at the right
     with pytest.raises(ValueError):
         box_count(cover, 1.5)
@@ -119,6 +133,8 @@ def test_box_count_301_depth1_pinned_by_brute_force():
             j += 1
     assert brute == 5
     assert box_count(cover, eps) == brute
+    # an mpf eps counts at its exact value man * 2^exp
+    assert box_count(cover, Fraction(int(eps.man)) * Fraction(2) ** int(eps.exp)) == brute
 
 
 def test_box_count_monotone_in_eps():
@@ -207,8 +223,8 @@ def test_library_bits_below_53_rejected(call):
 
 
 def test_empirical_dimension_bits_below_53_rejected_in_time():
-    # at 10 bits its 1e-13 bisection never closed, so run it where it can be
-    # stopped: a child process with a deadline
+    # in a child process with a deadline: a root search let through at 10
+    # bits must fail this test, not hang the suite
     code = ("from metallic import FractalSpec, MetallicParams, cover_summary, "
             "empirical_dimension\n"
             "spec = FractalSpec(MetallicParams(1, 1), 4, 1, 1)\n"
@@ -220,3 +236,17 @@ def test_empirical_dimension_bits_below_53_rejected_in_time():
                             text=True, timeout=60)
     assert result.returncode == 1
     assert "ValidationError: bits must be >= 53, got 10" in result.stderr
+
+
+def test_box_count_leaves_out_mpmath():
+    code = ("import sys\n"
+            "from fractions import Fraction\n"
+            "from metallic import FractalSpec, MetallicParams, box_count, cover_at_depth\n"
+            "spec = FractalSpec(MetallicParams(1, 1), 4, 1, 1)\n"
+            "print(box_count(cover_at_depth(spec, 2), Fraction(1, 10)), 'mpmath' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "6 False\n")
