@@ -10,10 +10,11 @@ Tiling and cover rows are one format string each, filled from the integers of
 a start (u + v*gamma)/den: u/den and v/den in lowest terms and the correctly
 rounded double (`quadfield.to_double`); the length fields are formatted once
 per exponent. Rows are written ROWS_PER_WRITE at a time, one write per chunk,
-and --out is opened at the first write. Only dim and estimate load mpmath;
---bits sets its precision. A command loads only what it runs: estimate and
-render (and json, for dim and estimate) are imported by the commands that use
-them.
+and --out is opened at the first write. No command loads mpmath: dim and
+estimate round their doubles correctly from integer logs, and --bits is the
+floor of the root bracket's fraction bits. A command loads only what it runs:
+estimate and render (and json, for dim and estimate) are imported by the
+commands that use them.
 """
 
 from __future__ import annotations
@@ -167,7 +168,8 @@ def _add_removal_flags(sub: argparse.ArgumentParser) -> None:
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output file (default stdout)")
     sub.add_argument("--bits", type=int, default=DEFAULT_BITS,
-                     help="mpmath precision of dim/estimate in bits, >= 53")
+                     help="fraction bits of the root bracket, >= 53; printed doubles "
+                          "are correctly rounded at any value")
     sub.add_argument("--cap", type=int, default=None,
                      help="enumeration cap (default METALLIC_CAP or 10^7)")
     sub.add_argument("--config", default=None,
@@ -334,7 +336,7 @@ def cmd_dim(args: argparse.Namespace, out: io.TextIOBase) -> None:
         "root": report.root,
         "dim": report.dim,
         "gamma": spec.params.gamma_float,
-        # |g(root)| passes the double range once g's coefficients do (--n 2000)
+        # |g(X/2^k)| passes the double range once g's coefficients do (--n 2000)
         "residual": report.root_residual if isfinite(report.root_residual) else None,
     }
     out.write(json.dumps(payload, allow_nan=False) + "\n")  # ValueError, not Infinity

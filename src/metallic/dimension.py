@@ -9,16 +9,20 @@ condition reduce to the same polynomial
 
 which has exactly one positive root x~ (one coefficient sign change), lying in
 [1, gamma]. The dimension is d = log(x~) / log(gamma). `_root_bracket` finds x~
-in exact integers, for g here and for the cover polynomials of `estimate`.
+in exact integers, for g here and for the cover polynomials of `estimate`, and
+`_root_and_dim` rounds x~ and d to doubles from integer logs, without mpmath.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import EmptyFractal, Record
 from .limits import DEFAULT_BITS, check_bits
+
+ZIV_BITS = 80  # first working precision of the log step; each retry doubles it
 
 if TYPE_CHECKING:  # annotations only: `import metallic` leaves fractal unloaded
     from .fractal import FractalSpec
@@ -100,13 +104,58 @@ def positive_root(poly: CharPoly, bits: int = DEFAULT_BITS) -> mpmath.mpf:
         return mpmath.mpf((x, -k))
 
 
-def _log_ratio(bracket: tuple[int, int], params, bits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """The root X/2^k of a bracket rounded at `bits`, and log(root)/log(gamma)."""
-    import mpmath
-    x, k = bracket
-    with mpmath.workprec(bits):
-        root = mpmath.mpf((x, -k))
-        return root, mpmath.log(root) / mpmath.log(params.gamma_mpf(bits))
+def _ln_series(t: int, w: int) -> tuple[int, int]:
+    """(L, E) with L <= 2*atanh(tau)*2^w < L + E, for t = floor(tau*2^w), 0 <= tau <= 1/3:
+    2*sum tau^(2i+1)/(2i+1) in integers truncated to 2^-w (Brent and Zimmermann, Modern
+    Computer Arithmetic, 4.4). A power stays within 1.5 units below its true value, a term
+    loses under 2.5 units, and the tail and the floor in t add under 3 more."""
+    t2, total, i = t * t >> w, 0, 1
+    while t:
+        total, t, i = total + t // i, t * t2 >> w, i + 2
+    return 2 * total, 5 * i // 2 + 6
+
+
+@lru_cache(maxsize=None)
+def _ln2(w: int) -> tuple[int, int]:
+    return _ln_series((1 << w) // 3, w)  # ln 2 = 2*atanh(1/3)
+
+
+def _ln_bracket(x: int, k: int, w: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= ln(y)*2^w <= hi for all y in [(x - 1)/2^k, x/2^k], x > 2^k: with
+    x = z*2^e and z in [1, 2), ln(x/2^k) = 2*atanh((z - 1)/(z + 1)) + (e - k)*ln 2, and
+    ln((x - 1)/2^k) >= ln(x/2^k) - 2^-k, as x - 1 >= 2^k."""
+    e = x.bit_length() - 1
+    lo, err = _ln_series(((x - (1 << e)) << w) // (x + (1 << e)), w)
+    ln2, err2 = _ln2(w)
+    lo += (e - k) * ln2
+    return lo - (1 << max(0, w - k)), lo + err + (e - k) * err2
+
+
+@lru_cache(maxsize=1024)
+def _ln_gamma(params, w: int) -> tuple[int, int]:
+    """`_ln_bracket` of gamma, since gamma*2^(w+1) = p*2^w + sqrt(D*4^w) is in [X - 1, X)
+    for X = p*2^w + isqrt(D*4^w) + 1."""
+    return _ln_bracket((params.p << w) + math.isqrt(params.D << 2 * w) + 1, w + 1, w)
+
+
+def _root_and_dim(degree: int, terms, params, bits: int) -> tuple[float, float, int, int]:
+    """Correctly rounded doubles of x~ and log(x~)/log(gamma) for the polynomial of
+    `_root_bracket`, and the bracket (X, k) that settled them. Ziv's test (ACM TOMS 17(3),
+    1991): rounding is monotone, so when both ends of each bracket give one double, that
+    double is correctly rounded; else w doubles and k follows it. A value on a rounding
+    boundary would need x~^b = gamma^a with b >= 2^54, so the loop ends."""
+    x, k = _root_bracket(degree, terms, bits)
+    if x == 1 << k:  # x~ = 1 exactly (x~ >= 1, and x~ > 1 puts X above 2^k): one survivor
+        return 1.0, 0.0, x, k
+    w = ZIV_BITS
+    while True:
+        (lo, hi), (g_lo, g_hi) = _ln_bracket(x, k, w), _ln_gamma(params, w)
+        root, dim = x / (1 << k), hi / g_lo
+        if (x - 1) / (1 << k) == root and lo / g_hi == dim:  # lo < 0 only retries
+            return root, dim, x, k
+        w *= 2
+        if w > bits:
+            x, k = _root_bracket(degree, terms, w)
 
 
 class DimensionReport(Record):
@@ -119,14 +168,18 @@ class DimensionReport(Record):
 
 def dimension(spec: FractalSpec, bits: int = DEFAULT_BITS) -> DimensionReport:
     """Similarity dimension of the fractal (the Hausdorff value coincides:
-    both derivations end at the same root equation)."""
+    both derivations end at the same root equation). OverflowError for a root
+    past the double range."""
     check_bits(bits)
     poly = char_poly(spec)
-    root, dim = _log_ratio(_root_bracket(poly.degree, _char_terms(poly), bits), spec.params, bits)
-    import mpmath
-    with mpmath.workprec(bits):
-        residual = abs(poly(root))
-    return DimensionReport(spec, poly, float(root), float(dim), float(residual))
+    n = poly.degree
+    root, dim, x, k = _root_and_dim(n, _char_terms(poly), spec.params, bits)
+    g = x**n - (poly.linear_coeff * x << k * (n - 1)) - (poly.constant_coeff << k * n)
+    try:
+        residual = abs(g) / (1 << k * n)  # |g(X/2^k)|, correctly rounded
+    except OverflowError:  # past the double range, as for n = 2000
+        residual = math.inf
+    return DimensionReport(spec, poly, root, dim, residual)
 
 
 def cantor_similarity(m: int, r: float) -> float:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import isqrt
 from statistics import linear_regression
 
-from .dimension import _log_ratio, _root_bracket
+from .dimension import ZIV_BITS, _ln_gamma, _root_and_dim
 from .errors import Record
 from .fractal import FractalSpec, IntervalCover, _walk, check_cover_cap
 from .limits import DEFAULT_BITS, check_bits
@@ -78,7 +78,7 @@ def empirical_dimension(cover: IntervalCover, bits: int = DEFAULT_BITS) -> float
         raise ValueError("cover depth must be >= 1")
     degree = cover.spec.n * cover.depth
     terms = [(degree - m, c) for m, c in cover.exponent_counts().items()]
-    return float(_log_ratio(_root_bracket(degree, terms, bits), cover.spec.params, bits)[1])
+    return _root_and_dim(degree, terms, cover.spec.params, bits)[1]
 
 
 def _count_boxes(spec: FractalSpec, depth: int, scale: tuple[int, int], den: int) -> int:
@@ -161,10 +161,13 @@ def box_dimension(spec: FractalSpec, k_max: int, cap: int | None = None,
     powers = (gamma_pow(spec.params, spec.n * k) for k in scales)
     counts = tuple(_count_boxes(spec, depth, (int(g.c0), int(g.c1)), 1)
                    for depth, g in zip(depths, powers))
-    import mpmath
-    with mpmath.workprec(bits):
-        log_gamma = mpmath.log(spec.params.gamma_mpf(bits))
-        xs = [float(spec.n * k * log_gamma) for k in scales]
+    w = ZIV_BITS
+    while True:  # xs = n*k*log(gamma), correctly rounded: both ends of each bracket agree
+        lo, hi = _ln_gamma(spec.params, w)
+        xs = [spec.n * k * lo / (1 << w) for k in scales]
+        if xs == [spec.n * k * hi / (1 << w) for k in scales]:
+            break
+        w *= 2
     ys = [math.log(c) for c in counts]
     slope, intercept = linear_regression(xs, ys)
     sse = math.fsum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))

@@ -25,8 +25,8 @@ def resolve_cap(explicit: int | None = None) -> int:
 def check_bits(bits: int) -> None:
     """ValidationError for a working precision below a double's 53 bits.
 
-    Below it the floats carry fewer digits than they print: every value is
-    printed as a double, 17 significant digits.
+    `bits` is the floor of the root bracket's fraction bits, whose doubles are
+    correctly rounded at any accepted value, or `hausdorff_sum`'s mpmath precision.
     """
     if bits < MIN_BITS:
         raise ValidationError(f"bits must be >= {MIN_BITS}, got {bits}")

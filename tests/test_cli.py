@@ -23,6 +23,8 @@ from metallic import (
     word_length,
 )
 from metallic.cli import build_parser, main
+from metallic.dimension import _root_bracket
+from test_acceptance import _criterion3_grid
 
 GOLDEN = MetallicParams(1, 1)
 
@@ -469,6 +471,57 @@ print(sorted(set({unused!r}) & set(sys.modules)))
                             env=CHILD_ENV, capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == "[]\nFalse\nFalse\n[]\nFalse\n['metallic.render']\n"
+
+
+def test_dim_and_estimate_run_without_mpmath():
+    # the same output whether mpmath is importable or not; None in sys.modules
+    # makes every import of it raise ImportError
+    script = """
+import contextlib, io, sys
+if sys.argv[1] == "blocked":
+    sys.modules["mpmath"] = None
+import metallic.cli
+from metallic import (FractalSpec, MetallicParams, box_dimension, cover_summary, dimension,
+                      empirical_dimension)
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert metallic.cli.main(argv) == 0, argv
+    print(out.getvalue(), end="")
+for p, q, n, l, s in [(1, 1, 4, 1, 1), (1, 2, 3, 0, 0), (2, 1, 2, 1, 0)]:
+    spec = FractalSpec(MetallicParams(p, q), n, l, s)
+    print(dimension(spec), dimension(spec, bits=53))
+    print(empirical_dimension(cover_summary(spec, 4)), box_dimension(spec, 5, bits=53))
+print(sys.modules.get('mpmath'))
+"""
+    argvs = [SUBCOMMAND_ARGV["dim"], SUBCOMMAND_ARGV["estimate"],
+             ["dim", "--p", "1", "--q", "2", "--n", "3"], ["dim", "--n", "2", "--remove-long", "1"]]
+    argvs += [[*argv, "--bits", "53"] for argv in argvs]
+    outputs = []
+    for mode in ("blocked", "present"):
+        result = subprocess.run([sys.executable, "-c", script.format(argvs=argvs), mode],
+                                env=CHILD_ENV, capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stderr) == (0, "")
+        outputs.append(result.stdout.splitlines())
+    blocked, present = outputs
+    assert blocked == present and len(blocked) == len(argvs) + 7
+    assert blocked[-1] == "None"  # nor did the run with mpmath present load it
+
+
+def test_dim_residual_is_exact_at_the_root_bracket():
+    # |g(X/2^k)| from exact Fractions, rounded once, at the bracket the root comes from;
+    # null only past the double range
+    specs = [(s.params.p, s.params.q, s.n, s.l, s.s, *s.survivor_counts)
+             for s in _criterion3_grid()]
+    specs += [(10**100, 1, 4, 0, 0, 10**300 + 2 * 10**100, 10**200 + 1),
+              (10**200, 1, 4, 0, 0, 10**600 + 2 * 10**200, 10**400 + 1)]
+    for p, q, n, l, s, na, nb in specs:
+        code, out = run_cli("dim", "--p", str(p), "--q", str(q), "--n", str(n),
+                            "--remove-long", str(l), "--remove-short", str(s))
+        x, k = _root_bracket(n, ((1, na), (0, nb)), 128)
+        residual = abs(Fraction(x, 2**k) ** n - na * Fraction(x, 2**k) - nb)
+        payload = json.loads(out)
+        assert code == 0 and (payload["Na_prime"], payload["Nb_prime"]) == (na, nb)
+        assert payload["residual"] == (float(residual) if residual < 2**1024 else None)
 
 
 def test_cover_past_the_fixed_point_bracket():

@@ -23,7 +23,7 @@ from metallic import (
     positive_root,
     tile_counts,
 )
-from metallic.dimension import _root_bracket
+from metallic.dimension import _ln_bracket, _ln_gamma, _root_bracket
 
 GOLDEN = MetallicParams(1, 1)
 SILVER = MetallicParams(2, 1)
@@ -86,6 +86,15 @@ def test_boundary_identities():
     # single-survivor specs collapse to a point
     assert dimension(FractalSpec(GOLDEN, 2, 1, 0)).dim == 0.0
     assert dimension(FractalSpec(GOLDEN, 2, 0, 1)).dim == 0.0
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_no_removal_dimension_is_exactly_one(bits):
+    # log(x~)/log(gamma) with x~ = gamma: an uncertified 53-bit log gives
+    # 0.9999999999999999 on some of these
+    dims = {dimension(FractalSpec(MetallicParams(p, q), n, 0, 0), bits).dim
+            for p in range(1, 7) for q in range(1, 7) for n in range(2, 30)}
+    assert dims == {1.0}
 
 
 def test_monotonicity_in_removals():
@@ -225,6 +234,55 @@ def test_root_rounds_like_a_400_bit_reference(poly):
     expected = float(reference)  # rounded to nearest
     assert float(root) == expected
     assert abs(float(positive_root(poly, bits=53)) - expected) <= math.ulp(expected)
+
+
+@st.composite
+def small_specs(draw):
+    """A (p, q, n, l, s) spec with p, q <= 6, n <= 30 and at least one survivor."""
+    params = MetallicParams(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    n = draw(st.integers(2, 30))
+    counts = tile_counts(params, n)
+    l = draw(st.integers(0, counts.N_a))
+    s = draw(st.integers(0, min(counts.N_b, counts.total - l - 1)))
+    return FractalSpec(params, n, l, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_specs(), st.sampled_from([53, 64, 128, 200]))
+@example(FractalSpec(GOLDEN, 2, 1, 0), 53)  # one survivor: root 1, dim 0.0
+@example(FractalSpec(GOLDEN, 3, 1, 1), 128)  # one long survivor: x^3 = x
+@example(FractalSpec(MetallicParams(1, 2), 4, 0, 0), 53)  # gamma = 2 is the root itself
+@example(FractalSpec(MetallicParams(1, 2), 3, 1, 0), 200)  # a rational mean, one removal
+@example(FractalSpec(SILVER, 3, 0, 0), 53)  # dim exactly 1 at the fewest bits
+def test_dimension_rounds_like_a_400_bit_reference(spec, bits):
+    report = dimension(spec, bits)
+    poly = report.poly
+    with mpmath.workprec(400):
+        root = mpmath.findroot(poly, report.root, verify=False)
+        newton_step = poly(root) / (poly.degree * root ** (poly.degree - 1) - poly.linear_coeff)
+        assert abs(newton_step) <= root * mpmath.mpf(2) ** -300
+        dim = mpmath.log(root) / mpmath.log(spec.params.gamma_mpf(400))
+    assert (report.root, report.dim) == (float(root), float(dim))  # rounded to nearest
+    assert math.copysign(1.0, report.dim) == 1.0  # a point has dim 0.0, not -0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 400), st.integers(1, 2**600), st.sampled_from([64, 80, 160, 320]),
+       st.integers(1, 10**30), st.integers(1, 10**30))
+@example(0, 1, 80, 1, 1)  # y just above 1
+@example(200, 2**200 + 1, 64, 1, 2)  # a rational mean, gamma = 2
+def test_integer_logs_bracket_a_high_precision_reference(k, offset, w, p, q):
+    x = (1 << k) + offset
+    lo, hi = _ln_bracket(x, k, w)
+    g_lo, g_hi = _ln_gamma(MetallicParams(p, q), w)
+    with mpmath.workprec(w + 700):
+        scale = mpmath.mpf(2) ** w
+        assert lo <= mpmath.log(mpmath.mpf(x - 1) / 2**k) * scale
+        assert mpmath.log(mpmath.mpf(x) / 2**k) * scale <= hi
+        assert g_lo <= mpmath.log((p + mpmath.sqrt(p * p + 4 * q)) / 2) * scale <= g_hi
+    # the bounds stay tight: a few units per term and per power of 2, plus the bracket
+    assert hi - lo <= 2 ** max(0, w - k) + 8 * w * (x.bit_length() - k)
+    assert g_hi - g_lo <= 2 + 8 * w * (p + q).bit_length()
 
 
 def test_root_deterministic():
