@@ -10,11 +10,15 @@ Two independent estimators work straight from covers:
   which is bracketed in integers like the root of `dimension`.
 
 * box counting: N(eps) over the grid [j*eps, (j+1)*eps), counted exactly.
-  Every cover endpoint lies in Z[1/q][gamma], so the tree walker in
-  `fractal` hands them out as integer pairs and a grid index is the floor of
+  Every cover endpoint lies in Z[1/q][gamma], so the layout in `fractal`
+  gives them as integer pairs and a grid index is the floor of
   (A + B*sqrt(D))/M, settled with math.isqrt: an endpoint that falls exactly
   on a grid point lands in the right box, and no floating point enters the
-  count. Counting is done on a cover deep enough that every interval is at
+  count. A subtree whose gaps are all narrower than a box meets every box
+  from the one holding its first start to the one holding its last end: a
+  box between them that met no interval would fit inside a single gap. So the
+  count walks down only to such subtrees and takes two floors for each.
+  Counting is done on a cover deep enough that every interval is at
   most eps wide - counting the depth-k cover at a finer scale would measure
   the solid intervals (slope pulled toward 1), not the limit set. Scales
   follow eps_k = gamma^(-n*k), so dividing by eps_k is multiplying by
@@ -33,7 +37,7 @@ from statistics import linear_regression
 
 from .dimension import ZIV_BITS, _ln_gamma, _root_and_dim
 from .errors import Record
-from .fractal import FractalSpec, IntervalCover, _walk, check_cover_cap
+from .fractal import FractalSpec, IntervalCover, _child_layout, check_cover_cap
 from .limits import DEFAULT_BITS, check_bits
 from .quadfield import gamma_pow
 from .tiling import _inv_powers
@@ -63,8 +67,9 @@ def hausdorff_sum(cover: IntervalCover, t: float, bits: int = DEFAULT_BITS) -> H
     import mpmath
     spec = cover.spec
     na, nb = spec.survivor_counts
+    lo, hi = _ln_gamma(spec.params, bits + 16)
     with mpmath.workprec(bits):
-        log_gamma = mpmath.log(spec.params.gamma_mpf(bits))
+        log_gamma = mpmath.mpf((lo + hi, -bits - 17))  # the bracket's midpoint
         value = _multiset_sum(cover.exponent_counts(), mpmath.mpf(t), log_gamma)
         y = _multiset_sum({spec.n - 1: na, spec.n: nb}, mpmath.mpf(t), log_gamma)
     return HausdorffSum(cover.depth, float(t), float(value), float(y))
@@ -86,26 +91,53 @@ def _count_boxes(spec: FractalSpec, depth: int, scale: tuple[int, int], den: int
 
     Each endpoint is y/M with y = A + B*sqrt(D), integers A, B and M > 0, and
     floor(y/M) = floor(floor(y)/M). With t = isqrt(B^2 D), floor(y) is A + t
-    for B >= 0 and A - t - 1 for B < 0 (A - t when D is a square). An interval
-    [s, e) meets boxes floor(s) .. ceil(e) - 1, and ceil(e) - 1 = floor(e)
-    unless e is an integer.
+    for B >= 0 and A - t - 1 for B < 0 (A - t when D is a square). A subtree
+    whose gaps are all under a box wide meets boxes floor(s) .. ceil(e) - 1
+    from its first start s to its last end e, and ceil(e) - 1 = -floor(-e) - 1.
+    Nodes with one exponent and one number of levels below are translates, so
+    s, e and the gap test are tabled once per class, from the leaves up.
     """
-    params = spec.params
+    params, n = spec.params, spec.n
     p, D = params.p, params.D
     irrational = params.rational_root is None
-    e_max = spec.n * depth
-    m = 2 * den * params.q**e_max
-    lengths = [(2 * l0 + p * l1, l1) for l0, l1 in _inv_powers(params, e_max, scale)]
+    m = 2 * den * params.q ** (n * depth)
+    g = _inv_powers(params, n * depth, scale)
+
+    def floor(u: int, v: int) -> int:  # of (u + v*gamma)/(den*q^E) = (a + v*sqrt(D))/m
+        a, t = 2 * u + p * v, isqrt(v * v * D)
+        return (a + t) // m if v >= 0 else (a - t - irrational) // m
+
+    steps = [x for x, c in zip((n - 1, n), spec.survivor_counts) if c]
+    levels = [{0}]  # the exponents reachable at each depth
+    for _ in range(depth):
+        levels.append({e + x for e in levels[-1] for x in steps})
+    children = _child_layout(spec, g)
+    kids = {e: children(e) for level in levels[:-1] for e in level}
+    # hulls[left][e]: offsets (s0, s1, e0, e1) of the first start and the last end in a
+    # node gamma^-e long with `left` levels below it, or None where a gap is a box wide
+    hulls = [{e: (0, 0, *g[e]) for e in levels[-1]}]
+    for level in reversed(levels[:-1]):
+        below, hull = hulls[-1], {}
+        for e in level:
+            parts = [below[x] for _, _, x in kids[e]]
+            if None in parts:
+                hull[e] = None
+                continue
+            spans = [(du + s0, dv + s1, du + e0, dv + e1)
+                     for (du, dv, _), (s0, s1, e0, e1) in zip(kids[e], parts)]
+            narrow = all(floor(b[0] - a[2], b[1] - a[3]) < 1 for a, b in zip(spans, spans[1:]))
+            hull[e] = (*spans[0][:2], *spans[-1][2:]) if narrow else None
+        hulls.append(hull)
     total, last = 0, None
-    for u, v, e, _ in _walk(spec, depth, scale, paths=False):
-        a, b = 2 * u + p * v, v
-        t = isqrt(b * b * D)
-        j0 = (a + t) // m if b >= 0 else (a - t - irrational) // m
-        da, db = lengths[e]
-        a, b = a + da, b + db
-        t = isqrt(b * b * D)
-        j1 = (a + t - (b == 0 or not irrational)) // m if b >= 0 else (a - t - 1) // m
-        # sorted, disjoint intervals: j0 >= last, and only box `last` is shared
+    stack = [(0, 0, 0, depth)]
+    while stack:
+        u, v, e, left = stack.pop()
+        h = hulls[left][e]
+        if h is None:
+            stack.extend([(u + du, v + dv, x, left - 1) for du, dv, x in reversed(kids[e])])
+            continue
+        j0, j1 = floor(u + h[0], v + h[1]), -floor(-u - h[2], -v - h[3]) - 1
+        # sorted, disjoint subtrees: j0 >= last, and only box `last` is shared
         total += j1 - j0 + (j0 != last)
         last = j1
     return total
@@ -148,7 +180,9 @@ def box_dimension(spec: FractalSpec, k_max: int, cap: int | None = None,
 
     Counts are exact (see box_count); residual is the slope's standard error
     and rms_misfit the per-point misfit, as in BoxCountFit. CapExceeded if the
-    deepest cover needed would exceed the enumeration cap.
+    deepest cover needed would exceed the enumeration cap. bits is only
+    validated: the counts are exact and the log scales correctly rounded at
+    any value.
     """
     check_bits(bits)
     if k_max < 4:

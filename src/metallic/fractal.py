@@ -155,21 +155,31 @@ def _survivor_pattern(spec: FractalSpec) -> tuple[str, tuple[bool, ...]]:
     return word, tuple(i not in removed for i in range(len(word)))
 
 
-def _walk(spec: FractalSpec, depth: int, scale: tuple[int, int] = (1, 0),
-          paths: bool = True) -> Iterator[tuple[int, int, int, str]]:
+def _child_layout(spec: FractalSpec, g: tuple[tuple[int, int], ...]):
+    """children(e, *tags): the survivors in a parent gamma^-e long, left to right, as
+    (du, dv, exponent, *tag) with their start offsets laid out like the word from the
+    `_inv_powers` table g. The walker and the box counter both lay children out here."""
+    n = spec.n
+    word, kept = _survivor_pattern(spec)
+    shrink = [n - (letter == "a") for letter in compress(word, kept)]
+
+    def children(e: int, *tags) -> list[tuple]:
+        us, vs = start_numerators(word, g[e + n - 1], g[e + n])
+        return list(zip(compress(us, kept), compress(vs, kept), [e + x for x in shrink], *tags))
+    return children
+
+
+def _walk(spec: FractalSpec, depth: int) -> Iterator[tuple[int, int, int, str]]:
     """The cover at `depth` left to right, in integers: (u, v, exponent, path).
 
-    The interval starts at (u + v*gamma) / q^E, E = n*depth, times the scale
-    s0 + s1*gamma, and is gamma^-exponent long before scaling; path spells
-    the survivor letters that led to it ("" when paths is False). Depth-first
-    with an explicit stack, so depth is not bound by the recursion limit.
+    The interval starts at (u + v*gamma) / q^E, E = n*depth, and is
+    gamma^-exponent long; path spells the survivor letters that led to it.
+    Depth-first with an explicit stack, so depth is not bound by the recursion
+    limit.
     """
-    n = spec.n
-    g = _inv_powers(spec.params, n * depth, scale)
+    layout = _child_layout(spec, _inv_powers(spec.params, spec.n * depth))
     word, kept = _survivor_pattern(spec)
     letters = list(compress(word, kept))
-    shrink = [n - (letter == "a") for letter in letters]
-    tags = letters if paths else [""] * len(letters)
     children: dict[int, list[tuple[int, int, int, str]]] = {}  # by parent exponent
     stack = [(0, 0, 0, "", depth)]
     while stack:
@@ -178,10 +188,7 @@ def _walk(spec: FractalSpec, depth: int, scale: tuple[int, int] = (1, 0),
             yield u, v, e, path
             continue
         if e not in children:
-            # the survivors' starts in a parent gamma^-e long, laid out like the word
-            us, vs = start_numerators(word, g[e + n - 1], g[e + n])
-            children[e] = list(zip(compress(us, kept), compress(vs, kept),
-                                   [e + x for x in shrink], tags))
+            children[e] = layout(e, letters)
         if left == 1:
             for du, dv, x, letter in children[e]:
                 yield u + du, v + dv, x, path + letter

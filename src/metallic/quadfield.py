@@ -255,9 +255,8 @@ class QuadElement(Record):
             num, scaled_den = u + v * (g or 0), den
         else:
             num, scaled_den = _bracket(self.params, u, v, den, bits + 4)
-        with mpmath.workprec(bits):
-            libmp = mpmath.libmp
-            return mpmath.mpf(libmp.from_rational(num, scaled_den, bits, libmp.round_nearest))
+        libmp = mpmath.libmp
+        return mpmath.mp.make_mpf(libmp.from_rational(num, scaled_den, bits, libmp.round_nearest))
 
     def __float__(self) -> float:
         return to_double(self.params, *self.numerators())

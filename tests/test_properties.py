@@ -27,16 +27,20 @@ from metallic import (
     tiling_at_step,
     word_at_step,
 )
+from metallic.estimate import _count_boxes
 from metallic.fractal import POLICIES
 
 MAX_INTERVALS = 4096
 MAX_DEPTH = 4
 
 means = st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda pq: MetallicParams(*pq))
+# gamma is the integer 2 at (1, 2) and 3 at (2, 3), where signs are rational
+box_means = st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 3), (1, 3), (3, 2)]).map(
+    lambda pq: MetallicParams(*pq))
 
 
 @st.composite
-def specs(draw):
+def specs(draw, means=means):
     """A valid (p, q, n, l, s, policy, indices) spec with n <= 4."""
     params, n = draw(means), draw(st.integers(2, 4))
     counts = tile_counts(params, n)
@@ -53,9 +57,9 @@ def specs(draw):
 
 
 @st.composite
-def covers(draw, max_intervals=MAX_INTERVALS):
+def covers(draw, max_intervals=MAX_INTERVALS, means=means):
     """A spec and a depth k <= 4 whose cover has at most `max_intervals` intervals."""
-    spec = draw(specs())
+    spec = draw(specs(means))
     per_level = sum(spec.survivor_counts)
     depth = draw(st.integers(0, MAX_DEPTH))
     while per_level**depth > max_intervals:
@@ -142,15 +146,32 @@ def exact_floor(x):
     return j
 
 
+def reference_box_count(cover, scale):
+    """Unit boxes met by the cover times `scale`, found interval by interval."""
+    boxes = set()
+    for iv in cover.intervals:
+        # [start, end) meets the boxes [j, j+1) with floor(start) <= j < end
+        first, last = exact_floor(iv.start * scale), -exact_floor(-iv.end * scale) - 1
+        boxes.update(range(first, last + 1))
+    return len(boxes)
+
+
 @settings(max_examples=60, deadline=None)
 @given(covers(max_intervals=512), st.integers(2, 200), st.data())
 def test_box_counts_equal_an_exact_floor_count(case, den, data):
     spec, k = case
     eps = Fraction(data.draw(st.integers(1, den - 1)), den)
     cover = cover_at_depth(spec, k)
-    boxes = set()
-    for iv in cover.intervals:
-        # [start, end) meets the boxes [j*eps, (j+1)*eps) with floor(start/eps) <= j < end/eps
-        first, last = exact_floor(iv.start / eps), -exact_floor(-iv.end / eps) - 1
-        boxes.update(range(first, last + 1))
-    assert box_count(cover, eps) == len(boxes)
+    assert box_count(cover, eps) == reference_box_count(cover, 1 / eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(covers(max_intervals=256, means=box_means), st.data())
+def test_box_counts_at_powers_of_gamma_equal_an_exact_floor_count(case, data):
+    # box_dimension's scales eps = gamma^(-n*k): box edges are irrational unless gamma is an
+    # integer; k runs from coarser than the cover to finer than box_dimension counts it
+    spec, depth = case
+    k = data.draw(st.integers(0, depth))
+    scale = gamma_pow(spec.params, spec.n * k)
+    count = _count_boxes(spec, depth, (int(scale.c0), int(scale.c1)), 1)
+    assert count == reference_box_count(cover_at_depth(spec, depth), scale)

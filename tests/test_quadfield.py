@@ -202,6 +202,24 @@ def test_to_mpf_tolerance():
     assert float(COPPER.gamma().to_mpf(128)) == 2.0
 
 
+def test_to_mpf_is_one_rounding_whatever_the_ambient_precision():
+    libmp = mpmath.libmp
+    cases = [GOLDEN.gamma(), gamma_pow(SILVER, -40), qe(Fraction(-7, 3), Fraction(5, 11), GOLDEN),
+             qe(Fraction(3, 7), 0, SILVER), qe(Fraction(1, 3), Fraction(2, 5), COPPER)]
+    for x in cases:
+        u, v, den = x.numerators()
+        for bits in (53, 64, 128, 300):
+            if x.params.rational_root is None and v:
+                num, scaled_den = quadfield._bracket(x.params, u, v, den, bits + 4)
+            else:
+                num, scaled_den = u + v * (x.params.rational_root or 0), den
+            with mpmath.workprec(bits):
+                expected = mpmath.mpf(libmp.from_rational(num, scaled_den, bits, libmp.round_nearest))
+            assert x.to_mpf(bits) == expected
+            with mpmath.workprec(20):
+                assert x.to_mpf(bits) == expected
+
+
 def test_to_mpf_rejects_low_precision():
     with pytest.raises(ValueError):
         GOLDEN.gamma().to_mpf(32)
