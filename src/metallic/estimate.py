@@ -14,26 +14,28 @@ Two independent estimators work straight from covers:
   gives them as integer pairs and a grid index is the floor of
   (A + B*sqrt(D))/M, settled with math.isqrt: an endpoint that falls exactly
   on a grid point lands in the right box, and no floating point enters the
-  count. A subtree whose gaps are all narrower than a box meets every box
-  from the one holding its first start to the one holding its last end: a
-  box between them that met no interval would fit inside a single gap. So the
-  count walks down only to such subtrees and takes two floors for each.
+  count. A run of leaves whose gaps are all narrower than a box meets every
+  box from the one holding its first start to the one holding its last end,
+  and runs a box or more apart share none. Translated subtrees share one table
+  of their runs: the boxes one meets depend only on f, the fractional part of
+  its start, since each run start's breakpoint in f counts from itself onward
+  and each run end's only past it. So a subtree costs one floor and two bisects.
   Counting is done on a cover deep enough that every interval is at
   most eps wide - counting the depth-k cover at a finer scale would measure
   the solid intervals (slope pulled toward 1), not the limit set. Scales
   follow eps_k = gamma^(-n*k), so dividing by eps_k is multiplying by
   gamma^(n*k) in Z[gamma], and the dimension is the least-squares slope of
-  log N against log(1/eps) over k = 2..k_max, fitted with the standard
-  library's `statistics.linear_regression`: a handful of points needs no
-  array library.
+  log N against log(1/eps) over k = 2..k_max: the exact least squares of
+  the double xs and ys, taken in Fractions and rounded once, so that it is
+  the same double on every Python version.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import isqrt
-from statistics import linear_regression
 
 from .dimension import ZIV_BITS, _ln_gamma, _root_and_dim
 from .errors import Record
@@ -41,6 +43,9 @@ from .fractal import FractalSpec, IntervalCover, _child_layout, check_cover_cap
 from .limits import DEFAULT_BITS, check_bits
 from .quadfield import gamma_pow
 from .tiling import _inv_powers
+
+_KEY_BITS = 64  # K of the box counter's breakpoint keys
+_MAX_RUNS = 32  # the most runs of a class the box counter tables
 
 
 def _multiset_sum(counts: dict[int, int], t, log_gamma: mpmath.mpf) -> mpmath.mpf:
@@ -91,54 +96,99 @@ def _count_boxes(spec: FractalSpec, depth: int, scale: tuple[int, int], den: int
 
     Each endpoint is y/M with y = A + B*sqrt(D), integers A, B and M > 0, and
     floor(y/M) = floor(floor(y)/M). With t = isqrt(B^2 D), floor(y) is A + t
-    for B >= 0 and A - t - 1 for B < 0 (A - t when D is a square). A subtree
-    whose gaps are all under a box wide meets boxes floor(s) .. ceil(e) - 1
-    from its first start s to its last end e, and ceil(e) - 1 = -floor(-e) - 1.
-    Nodes with one exponent and one number of levels below are translates, so
-    s, e and the gap test are tabled once per class, from the leaves up.
+    for B >= 0 and A - t - 1 for B < 0 (A - t when D is a square). Nodes with
+    one exponent and one number of levels below are translates, so each such
+    class tables its runs, maximal groups of leaves whose gaps are under a box,
+    as offsets (S, E) of the first start and the last end. Runs are a box or
+    more apart, so a node at x meets N(x) = sum of ceil(x + E) - floor(x + S)
+    = N(0) - #{S: frac(-S) <= f} + #{E: frac(-E) < f} boxes, f = frac(x): N
+    depends on f alone, a start breakpoint counts from itself onward and an end
+    one only past it. Keys are 2*floor(frac * 2^K), plus 1 unless frac * 2^K is
+    an integer, so a node costs one floor of x * 2^K and two bisects, and each
+    equal odd key one exact floor. Classes past _MAX_RUNS runs are counted
+    through their children.
     """
     params, n = spec.params, spec.n
     p, D = params.p, params.D
     irrational = params.rational_root is None
     m = 2 * den * params.q ** (n * depth)
     g = _inv_powers(params, n * depth, scale)
+    shift, mask = _KEY_BITS + 1, (2 << _KEY_BITS) - 1
 
-    def floor(u: int, v: int) -> int:  # of (u + v*gamma)/(den*q^E) = (a + v*sqrt(D))/m
-        a, t = 2 * u + p * v, isqrt(v * v * D)
-        return (a + t) // m if v >= 0 else (a - t - irrational) // m
+    def floor2(u: int, v: int) -> int:
+        """2*floor(y), plus 1 unless y = (u + v*gamma)/(den*q^E) is an integer."""
+        a, t = 2 * u + p * v, isqrt(v * v * D)  # y = (a + v*sqrt(D))/m
+        whole, rest = divmod(a + t if v >= 0 else a - t - irrational, m)
+        return 2 * whole + (rest != 0 or irrational and v != 0)
+
+    def point(o0: int, o1: int, start: bool) -> tuple:
+        """The breakpoint frac(-o) of offset o as (key, start, o0, o1, floor(-o))."""
+        y = floor2(-o0 << _KEY_BITS, -o1 << _KEY_BITS)
+        return y & mask, start, o0, o1, y >> shift
+
+    def after(pt: tuple, key: int, u: int, v: int, whole: int) -> bool:
+        """frac(-o) <= f (a start o) or < f (an end), for x = (u, v) of key and floor whole."""
+        k, start, o0, o1, below = pt
+        if k != key or not k & 1:  # distinct keys, or equal exact fractions
+            return k < key or k == key and start
+        if start:  # x + o >= whole - floor(-o)
+            return floor2(u + o0, v + o1) >= 2 * (whole - below)
+        return floor2(-u - o0, -v - o1) < 2 * (below - whole)
 
     steps = [x for x, c in zip((n - 1, n), spec.survivor_counts) if c]
     levels = [{0}]  # the exponents reachable at each depth
     for _ in range(depth):
         levels.append({e + x for e in levels[-1] for x in steps})
     children = _child_layout(spec, g)
-    kids = {e: children(e) for level in levels[:-1] for e in level}
-    # hulls[left][e]: offsets (s0, s1, e0, e1) of the first start and the last end in a
-    # node gamma^-e long with `left` levels below it, or None where a gap is a box wide
-    hulls = [{e: (0, 0, *g[e]) for e in levels[-1]}]
+    kids = {e: children(e) for e in set().union(*levels[:-1])}
+    # runs[left][e]: offsets (s0, s1, e0, e1) of each run's first start and last end in
+    # a node gamma^-e long with `left` levels below it, or None past _MAX_RUNS runs
+    runs = [{e: [(0, 0, *g[e])] for e in levels[-1]}]
     for level in reversed(levels[:-1]):
-        below, hull = hulls[-1], {}
+        below, row = runs[-1], {}
         for e in level:
-            parts = [below[x] for _, _, x in kids[e]]
-            if None in parts:
-                hull[e] = None
-                continue
-            spans = [(du + s0, dv + s1, du + e0, dv + e1)
-                     for (du, dv, _), (s0, s1, e0, e1) in zip(kids[e], parts)]
-            narrow = all(floor(b[0] - a[2], b[1] - a[3]) < 1 for a, b in zip(spans, spans[1:]))
-            hull[e] = (*spans[0][:2], *spans[-1][2:]) if narrow else None
-        hulls.append(hull)
+            spans = []
+            for du, dv, x in kids[e]:
+                part = below[x]
+                if part is None or len(spans) + len(part) > _MAX_RUNS + 1:
+                    spans = None
+                    break
+                part = [(du + s0, dv + s1, du + e0, dv + e1) for s0, s1, e0, e1 in part]
+                if spans and floor2(part[0][0] - spans[-1][2], part[0][1] - spans[-1][3]) < 2:
+                    part[0] = (*spans.pop()[:2], *part[0][2:])  # a gap under a box joins two runs
+                spans += part
+            row[e] = spans if spans and len(spans) <= _MAX_RUNS else None
+        runs.append(row)
+    tables: dict[tuple[int, int], tuple] = {}  # built for the classes the walk counts at
     total, last = 0, None
     stack = [(0, 0, 0, depth)]
     while stack:
         u, v, e, left = stack.pop()
-        h = hulls[left][e]
-        if h is None:
+        spans = runs[left][e]
+        if spans is None:
             stack.extend([(u + du, v + dv, x, left - 1) for du, dv, x in reversed(kids[e])])
             continue
-        j0, j1 = floor(u + h[0], v + h[1]), -floor(-u - h[2], -v - h[3]) - 1
+        if (left, e) not in tables:
+            starts = [point(s0, s1, True) for s0, s1, _, _ in spans]
+            ends = [point(e0, e1, False) for _, _, e0, e1 in spans]
+            base = sum(pt[4] for pt in starts) - sum(pt[4] for pt in ends) + len(spans)  # N(0)
+            edges, starts, ends = (starts[0], ends[-1]), sorted(starts), sorted(ends)
+            keys = [pt[0] for pt in starts], [pt[0] for pt in ends]
+            tables[left, e] = *keys, starts, ends, base, edges
+        skeys, ekeys, starts, ends, base, (first, end) = tables[left, e]
+        y = floor2(u << _KEY_BITS, v << _KEY_BITS)
+        whole, key = y >> shift, y & mask
+        i, j = bisect_right(skeys, key), bisect_left(ekeys, key)
+        count = base - i + j
+        if key & 1:  # the bisects took breakpoints with f's odd key as equal to f: a start
+            # is then counted and an end is not, which after() confirms or corrects
+            tied = starts[bisect_left(skeys, key):i] + ends[j:bisect_right(ekeys, key)]
+            count += sum(after(pt, key, u, v, whole) != pt[1] for pt in tied)
+        # floor(x + S) and ceil(x + E) - 1 of the first start and the last end
+        j0 = whole - first[4] - 1 + after(first, key, u, v, whole)
+        j1 = whole - end[4] - 1 + after(end, key, u, v, whole)
         # sorted, disjoint subtrees: j0 >= last, and only box `last` is shared
-        total += j1 - j0 + (j0 != last)
+        total += count - (j0 == last)
         last = j1
     return total
 
@@ -203,7 +253,11 @@ def box_dimension(spec: FractalSpec, k_max: int, cap: int | None = None,
             break
         w *= 2
     ys = [math.log(c) for c in counts]
-    slope, intercept = linear_regression(xs, ys)
+    fx, fy = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    x_bar, y_bar = sum(fx) / len(fx), sum(fy) / len(fy)
+    exact = (sum((x - x_bar) * (y - y_bar) for x, y in zip(fx, fy))
+             / sum((x - x_bar) ** 2 for x in fx))
+    slope, intercept = float(exact), float(y_bar - exact * x_bar)
     sse = math.fsum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
     x_mean = math.fsum(xs) / len(xs)
     sxx = math.fsum((x - x_mean) ** 2 for x in xs)

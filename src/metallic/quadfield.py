@@ -255,8 +255,12 @@ class QuadElement(Record):
             num, scaled_den = u + v * (g or 0), den
         else:
             num, scaled_den = _bracket(self.params, u, v, den, bits + 4)
+        # a quotient of bits + 2 bits or more and a sticky remainder bit round like the ratio
+        shift = max(0, bits + 2 + scaled_den.bit_length() - abs(num).bit_length())
+        quo, rem = divmod(abs(num) << shift, scaled_den)
+        man = (2 * quo + (rem != 0)) * (-1 if num < 0 else 1)
         libmp = mpmath.libmp
-        return mpmath.mp.make_mpf(libmp.from_rational(num, scaled_den, bits, libmp.round_nearest))
+        return mpmath.mp.make_mpf(libmp.from_man_exp(man, -shift - 1, bits, libmp.round_nearest))
 
     def __float__(self) -> float:
         return to_double(self.params, *self.numerators())

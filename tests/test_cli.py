@@ -403,6 +403,14 @@ SUBCOMMAND_ARGV = {
 }
 
 
+def test_estimate_box_dim_pinned_on_every_python_version():
+    # the fit is the exact least squares of its doubles, rounded once;
+    # statistics.linear_regression gave 0.705474855200881 on Python 3.10 and 3.11
+    code, out = run_cli(*SUBCOMMAND_ARGV["estimate"])
+    assert code == 0
+    assert json.loads(out)["box_dim"] == 0.7054748552008812
+
+
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
 def test_bits_below_53_rejected(command):
     proc = cli_process(*SUBCOMMAND_ARGV[command], "--bits", "10")

@@ -10,7 +10,9 @@ counts are checked the same way, and the dimension against removal counts.
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,7 @@ from metallic import (
     tiling_at_step,
     word_at_step,
 )
+from metallic import estimate
 from metallic.estimate import _count_boxes
 from metallic.fractal import POLICIES
 
@@ -37,12 +40,14 @@ means = st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda pq: MetallicP
 # gamma is the integer 2 at (1, 2) and 3 at (2, 3), where signs are rational
 box_means = st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 3), (1, 3), (3, 2)]).map(
     lambda pq: MetallicParams(*pq))
+run_means = st.sampled_from([(1, 1), (2, 1), (3, 1), (1, 2), (2, 3)]).map(
+    lambda pq: MetallicParams(*pq))
 
 
 @st.composite
-def specs(draw, means=means):
+def specs(draw, means=means, steps=st.integers(2, 4)):
     """A valid (p, q, n, l, s, policy, indices) spec with n <= 4."""
-    params, n = draw(means), draw(st.integers(2, 4))
+    params, n = draw(means), draw(steps)
     counts = tile_counts(params, n)
     l = draw(st.integers(0, counts.N_a))
     s = draw(st.integers(0, min(counts.N_b, counts.total - l - 1)))  # one tile survives
@@ -175,3 +180,51 @@ def test_box_counts_at_powers_of_gamma_equal_an_exact_floor_count(case, data):
     scale = gamma_pow(spec.params, spec.n * k)
     count = _count_boxes(spec, depth, (int(scale.c0), int(scale.c1)), 1)
     assert count == reference_box_count(cover_at_depth(spec, depth), scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs(run_means, steps=st.just(2)), st.integers(1, 5))
+def test_box_counts_with_long_leaves_one_box_wide(spec, k):
+    # at depth 2k and eps = gamma^(-2k) an all-long leaf is exactly one box wide, so the
+    # breakpoints of its start and end are equal; at (1, 2) and (2, 3) gamma is an integer
+    # and endpoints fall on box edges
+    while sum(spec.survivor_counts) ** (2 * k) > 1024:
+        k -= 1
+    scale = gamma_pow(spec.params, 2 * k)
+    count = _count_boxes(spec, 2 * k, (int(scale.c0), int(scale.c1)), 1)
+    assert count == reference_box_count(cover_at_depth(spec, 2 * k), scale)
+
+
+@pytest.mark.parametrize("policy, indices", [
+    ("keep-first", None), ("keep-last", None),
+    ("explicit", (0, 3)), ("explicit", (1, 3)), ("explicit", (2, 3))])
+def test_box_counts_from_run_tables_above_the_leaves(policy, indices):
+    # the 1,024 leaves of (3,1,2,1,1) at depth 10 are about a box wide at scale gamma^10,
+    # so the counter tables runs of subtrees above the leaves
+    spec = FractalSpec(MetallicParams(3, 1), 2, 1, 1, policy, indices)
+    scale = gamma_pow(spec.params, 10)
+    count = _count_boxes(spec, 10, (int(scale.c0), int(scale.c1)), 1)
+    assert count == reference_box_count(cover_at_depth(spec, 10), scale)
+
+
+@pytest.mark.parametrize("base, policy, indices, depth", [
+    ((1, 1, 4, 1, 1), "keep-first", None, 3), ((2, 1, 2, 1, 0), "keep-last", None, 6),
+    ((1, 1, 3, 0, 1), "keep-first", None, 5), ((3, 1, 2, 1, 1), "keep-last", None, 4),
+    ((1, 2, 2, 0, 1), "keep-last", None, 6), ((1, 1, 4, 1, 2), "keep-last", None, 3),
+    ((1, 2, 3, 0, 2), "keep-first", None, 1), ((2, 3, 2, 1, 1), "explicit", (1, 3), 2)])
+def test_box_counts_exact_with_coarse_keys_and_small_tables(base, policy, indices, depth):
+    # with keys of a few bits, breakpoints that differ share keys with f, and only the
+    # exact floor of each tie tells them apart; small tables make the walk count many
+    # subtrees below the root. Integer scales put run ends on box edges.
+    p, q, n, l, s = base
+    spec = FractalSpec(MetallicParams(p, q), n, l, s, policy, indices)
+    cover = cover_at_depth(spec, depth)
+    scales = [gamma_pow(spec.params, n * k) for k in range(depth + 1)]
+    for scale in scales + [j * spec.params.one() for j in range(2, 6)]:
+        expected = reference_box_count(cover, scale)
+        for key_bits, max_runs in product((0, 1, 2), (1, 2, 3)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(estimate, "_KEY_BITS", key_bits)
+                patch.setattr(estimate, "_MAX_RUNS", max_runs)
+                count = _count_boxes(spec, depth, (int(scale.c0), int(scale.c1)), 1)
+            assert count == expected, (scale, key_bits, max_runs)

@@ -202,22 +202,39 @@ def test_to_mpf_tolerance():
     assert float(COPPER.gamma().to_mpf(128)) == 2.0
 
 
-def test_to_mpf_is_one_rounding_whatever_the_ambient_precision():
+def _from_rational(x, bits):
+    """x rounded to nearest at `bits` by mpmath's rational division, from the numerator
+    and denominator that `to_mpf` rounds."""
+    u, v, den = x.numerators()
+    if x.params.rational_root is None and v:
+        num, scaled_den = quadfield._bracket(x.params, u, v, den, bits + 4)
+    else:
+        num, scaled_den = u + v * (x.params.rational_root or 0), den
     libmp = mpmath.libmp
+    return mpmath.mp.make_mpf(libmp.from_rational(num, scaled_den, bits, libmp.round_nearest))
+
+
+def test_to_mpf_is_one_rounding_whatever_the_ambient_precision():
     cases = [GOLDEN.gamma(), gamma_pow(SILVER, -40), qe(Fraction(-7, 3), Fraction(5, 11), GOLDEN),
              qe(Fraction(3, 7), 0, SILVER), qe(Fraction(1, 3), Fraction(2, 5), COPPER)]
     for x in cases:
-        u, v, den = x.numerators()
         for bits in (53, 64, 128, 300):
-            if x.params.rational_root is None and v:
-                num, scaled_den = quadfield._bracket(x.params, u, v, den, bits + 4)
-            else:
-                num, scaled_den = u + v * (x.params.rational_root or 0), den
-            with mpmath.workprec(bits):
-                expected = mpmath.mpf(libmp.from_rational(num, scaled_den, bits, libmp.round_nearest))
+            expected = _from_rational(x, bits)
             assert x.to_mpf(bits) == expected
             with mpmath.workprec(20):
                 assert x.to_mpf(bits) == expected
+
+
+def test_to_mpf_rounds_like_a_rational_division():
+    rng = random.Random(20261019)
+    dens = [1, 3, 7, *(2**j for j in range(1, 40, 7)), *(3**j for j in range(2, 30, 6))]
+    for _ in range(3000):
+        params = MetallicParams(rng.randint(1, 6), rng.randint(1, 5))
+        size = rng.choice((4, 60, 600))
+        u, v = (rng.choice((0, rng.randint(-2**size, 2**size))) for _ in "uv")
+        x = qe(Fraction(u, rng.choice(dens)), Fraction(v, rng.choice(dens)), params)
+        for bits in (53, 64, 128, 300):
+            assert x.to_mpf(bits) == _from_rational(x, bits), (x, bits)
 
 
 def test_to_mpf_rejects_low_precision():
