@@ -9,8 +9,8 @@ condition reduce to the same polynomial
 
 which has exactly one positive root x~ (one coefficient sign change), lying in
 [1, gamma]. The dimension is d = log(x~) / log(gamma). `_root_bracket` finds x~
-in exact integers, for g here and for the cover polynomials of `estimate`, and
-`_root_and_dim` rounds x~ and d to doubles from integer logs, without mpmath.
+in exact integers, and `dimension` rounds x~ and d to doubles from integer logs,
+without mpmath.
 """
 
 from __future__ import annotations
@@ -56,50 +56,38 @@ def char_poly(spec: FractalSpec) -> CharPoly:
     return CharPoly(spec.n, *spec.survivor_counts)  # EmptyFractal without survivors
 
 
-def _root_bracket(degree: int, terms, bits: int) -> tuple[int, int]:
-    """(X, k = bits + 8) with (X - 1)/2^k < x~ <= X/2^k, x~ the positive root of
-    P(x) = x^degree - sum c*x^j over the (j, c) in `terms`: j < degree, c >= 0,
-    not all 0.
+def _root_bracket(poly: CharPoly, bits: int) -> tuple[int, int]:
+    """(X, k = bits + 8) with (X - 1)/2^k < x~ <= X/2^k, for x~ the positive root of g.
 
-    X starts at or above max_j (m*c_j)^(1/(degree-j)) over the m nonzero terms
-    (x^(degree-j) >= m*c_j for each j gives x^degree >= sum c_j*x^j). While
-    G(X - 1) >= 0, with G(X) = 2^(k*degree)*P(X/2^k) exact in integers, X takes
-    a Newton step from X - 1; P is convex and increasing right of x~, so X stays
-    at or above x~*2^k. This runs at k = 40, where powers are cheap, then at
-    k = bits + 8.
+    X starts at or above max((m*a)^(1/(n-1)), (m*b)^(1/n)) over the m nonzero
+    coefficients (x^(n-1) >= m*a and x^n >= m*b give x^n >= a*x + b). While
+    G(X - 1) >= 0, with G(X) = 2^(k*n)*g(X/2^k) = (X^(n-1) - a*2^(k(n-1)))*X - b*2^(kn)
+    exact in integers, X takes a Newton step from X - 1; g is convex and increasing
+    right of x~, so X stays at or above x~*2^k. This runs at k = 40, where powers are
+    cheap, then at k = bits + 8.
     """
-    terms = [(j, c) for j, c in terms if c]
-    seed = max([math.log2(len(terms) * c) / (degree - j) for j, c in terms])
+    n, a, b = poly.degree, poly.linear_coeff, poly.constant_coeff
+    m = (a > 0) + (b > 0)
+    seed = max([math.log2(m * c) / (n - j) for j, c in ((1, a), (0, b)) if c])
     seed = seed * (1 + 2.0**-45) + 2.0**-40  # log2 of the bound, past float error
     x = (int(2.0 ** (seed % 1 + 40)) + 1) << int(seed)  # 2^seed with 40 fraction bits
-    top = max(terms)[0]
-    lead = degree - top  # G = (...((X^lead - C_top)*X - C_(top-1))*X ...)*X - C_0
     for k, shift in ((40, 0), (bits + 8, bits - 32)):
         x <<= shift
-        rest = [0] * (top + 1)  # C_j = c_j*2^(k*(degree-j)), highest j first
-        for j, c in terms:
-            rest[top - j] = c << (k * (degree - j))
-        c_top = rest.pop(0)
-        while True:  # G and G' at X - 1 by Horner's rule
+        ca, cb = a << k * (n - 1), b << k * n
+        while True:  # G and G' at X - 1
             y = x - 1
-            y_pow = y ** (lead - 1)
-            g, slope = y_pow * y - c_top, lead * y_pow
-            for c in rest:
-                g, slope = g * y - c, slope * y + g
+            y_pow = y ** (n - 1)
+            g = (y_pow - ca) * y - cb
             if g < 0:
                 break
-            x = y - g // slope
+            x = y - g // (n * y_pow - ca)
     return x, k
-
-
-def _char_terms(poly: CharPoly) -> tuple[tuple[int, int], tuple[int, int]]:
-    return (1, poly.linear_coeff), (0, poly.constant_coeff)
 
 
 def positive_root(poly: CharPoly, bits: int = DEFAULT_BITS) -> mpmath.mpf:
     """The unique positive root of g, rounded at `bits` from `_root_bracket`."""
     import mpmath
-    x, k = _root_bracket(poly.degree, _char_terms(poly), bits)
+    x, k = _root_bracket(poly, bits)
     with mpmath.workprec(bits):
         return mpmath.mpf((x, -k))
 
@@ -138,26 +126,6 @@ def _ln_gamma(params, w: int) -> tuple[int, int]:
     return _ln_bracket((params.p << w) + math.isqrt(params.D << 2 * w) + 1, w + 1, w)
 
 
-def _root_and_dim(degree: int, terms, params, bits: int) -> tuple[float, float, int, int]:
-    """Correctly rounded doubles of x~ and log(x~)/log(gamma) for the polynomial of
-    `_root_bracket`, and the bracket (X, k) that settled them. Ziv's test (ACM TOMS 17(3),
-    1991): rounding is monotone, so when both ends of each bracket give one double, that
-    double is correctly rounded; else w doubles and k follows it. A value on a rounding
-    boundary would need x~^b = gamma^a with b >= 2^54, so the loop ends."""
-    x, k = _root_bracket(degree, terms, bits)
-    if x == 1 << k:  # x~ = 1 exactly (x~ >= 1, and x~ > 1 puts X above 2^k): one survivor
-        return 1.0, 0.0, x, k
-    w = ZIV_BITS
-    while True:
-        (lo, hi), (g_lo, g_hi) = _ln_bracket(x, k, w), _ln_gamma(params, w)
-        root, dim = x / (1 << k), hi / g_lo
-        if (x - 1) / (1 << k) == root and lo / g_hi == dim:  # lo < 0 only retries
-            return root, dim, x, k
-        w *= 2
-        if w > bits:
-            x, k = _root_bracket(degree, terms, w)
-
-
 class DimensionReport(Record):
     _fields = ("spec", "poly", "root", "dim", "root_residual")
 
@@ -169,11 +137,27 @@ class DimensionReport(Record):
 def dimension(spec: FractalSpec, bits: int = DEFAULT_BITS) -> DimensionReport:
     """Similarity dimension of the fractal (the Hausdorff value coincides:
     both derivations end at the same root equation). OverflowError for a root
-    past the double range."""
+    past the double range.
+
+    x~ and d = log(x~)/log(gamma) are correctly rounded doubles by Ziv's test (ACM
+    TOMS 17(3), 1991): rounding is monotone, so when both ends of each bracket give
+    one double, that double is correctly rounded; else the log precision w doubles
+    and the root bracket follows it. A value on a rounding boundary would need
+    x~^b = gamma^a with b >= 2^54, so the loop ends.
+    """
     check_bits(bits)
     poly = char_poly(spec)
     n = poly.degree
-    root, dim, x, k = _root_and_dim(n, _char_terms(poly), spec.params, bits)
+    x, k = _root_bracket(poly, bits)
+    root, dim, w = 1.0, 0.0, ZIV_BITS  # X = 2^k: x~ = 1 exactly, one survivor
+    while x != 1 << k:  # x~ > 1 puts X above 2^k at every k
+        (lo, hi), (g_lo, g_hi) = _ln_bracket(x, k, w), _ln_gamma(spec.params, w)
+        root, dim = x / (1 << k), hi / g_lo
+        if (x - 1) / (1 << k) == root and lo / g_hi == dim:  # lo < 0 only retries
+            break
+        w *= 2
+        if w > bits:
+            x, k = _root_bracket(poly, w)
     g = x**n - (poly.linear_coeff * x << k * (n - 1)) - (poly.constant_coeff << k * n)
     try:
         residual = abs(g) / (1 << k * n)  # |g(X/2^k)|, correctly rounded

@@ -1,13 +1,13 @@
 """Numerical cross-checks of the analytic dimension.
 
-Two independent estimators work straight from covers:
+Two estimators work straight from covers:
 
 * cover sums: S_k(t) = sum over depth-k intervals of |I|^t = sum c_m*gamma^(-m*t)
   over the cover's length multiset {m: c_m}, so deep covers are never
   materialized. Every survivor is re-tiled with one fixed pattern, so
-  S_k(t) = Y(t)^k for the depth-1 sum Y, and S_k crosses 1 where Y does: with
-  x = gamma^t and N = n*k, at the positive root of x^N - sum c_m*x^(N-m),
-  which is bracketed in integers like the root of `dimension`.
+  S_k(t) = Y(t)^k for the depth-1 sum Y, and S_k crosses 1 where Y does: at
+  t = log_gamma x~ for the root x~ of `dimension`, at every depth. The cover-sum
+  exponent is that dimension by construction, not an independent check of it.
 
 * box counting: N(eps) over the grid [j*eps, (j+1)*eps), counted exactly.
   Every cover endpoint lies in Z[1/q][gamma], so the layout in `fractal`
@@ -37,7 +37,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import isqrt
 
-from .dimension import ZIV_BITS, _ln_gamma, _root_and_dim
+from .dimension import ZIV_BITS, _ln_gamma, dimension
 from .errors import Record
 from .fractal import FractalSpec, IntervalCover, _child_layout, check_cover_cap
 from .limits import DEFAULT_BITS, check_bits
@@ -67,7 +67,7 @@ class HausdorffSum(Record):
 def hausdorff_sum(cover: IntervalCover, t: float, bits: int = DEFAULT_BITS) -> HausdorffSum:
     """Cover sum S_k(t) and the per-level factor Y(t)."""
     check_bits(bits)
-    if t < 0:
+    if not t >= 0:  # NaN too
         raise ValueError("exponent t must be >= 0")
     import mpmath
     spec = cover.spec
@@ -81,14 +81,12 @@ def hausdorff_sum(cover: IntervalCover, t: float, bits: int = DEFAULT_BITS) -> H
 
 
 def empirical_dimension(cover: IntervalCover, bits: int = DEFAULT_BITS) -> float:
-    """The exponent t where the cover sum S_k(t) equals 1: the root x~ of
-    `dimension` (see the module docstring), so t is the same double."""
+    """The exponent t where the cover sum S_k(t) equals 1. S_k = Y^k, so this is
+    where Y(t) = 1: the `dimension` of the cover's spec, the same double."""
     check_bits(bits)
     if cover.depth < 1:
         raise ValueError("cover depth must be >= 1")
-    degree = cover.spec.n * cover.depth
-    terms = [(degree - m, c) for m, c in cover.exponent_counts().items()]
-    return _root_and_dim(degree, terms, cover.spec.params, bits)[1]
+    return dimension(cover.spec, bits).dim
 
 
 def _count_boxes(spec: FractalSpec, depth: int, scale: tuple[int, int], den: int) -> int:

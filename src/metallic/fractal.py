@@ -101,9 +101,7 @@ def removed_positions(spec: FractalSpec) -> frozenset[int]:
 
 def survivors(spec: FractalSpec) -> tuple[Tile, ...]:
     """The step-n tiles that remain after removal, in word order."""
-    tiling = tiling_at_step(spec.params, spec.n)
-    removed = removed_positions(spec)
-    return tuple(t for i, t in enumerate(tiling.tiles) if i not in removed)
+    return tuple(compress(tiling_at_step(spec.params, spec.n).tiles, _survivor_pattern(spec)[1]))
 
 
 # one surviving interval: the tile type, its kind_path the survivor letters

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from metallic import (
+    CharPoly,
     MetallicParams,
     QuadElement,
     cantor_similarity,
@@ -411,6 +412,17 @@ def test_estimate_box_dim_pinned_on_every_python_version():
     assert json.loads(out)["box_dim"] == 0.7054748552008812
 
 
+def test_deep_estimate_reaches_the_box_fit_cap_fast():
+    # the cover-sum exponent is the analytic root, so a depth-6000 estimate costs no
+    # degree-24000 root before the box fit's cap check (55 s when it did)
+    result = subprocess.run([sys.executable, "-m", "metallic.cli", *SUBCOMMAND_ARGV["estimate"],
+                             "--depth", "6000"], env=CHILD_ENV,
+                            capture_output=True, text=True, timeout=20)
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("error: depth-8000 cover has ")
+    assert " intervals, above cap " in result.stderr and result.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
 def test_bits_below_53_rejected(command):
     proc = cli_process(*SUBCOMMAND_ARGV[command], "--bits", "10")
@@ -525,7 +537,7 @@ def test_dim_residual_is_exact_at_the_root_bracket():
     for p, q, n, l, s, na, nb in specs:
         code, out = run_cli("dim", "--p", str(p), "--q", str(q), "--n", str(n),
                             "--remove-long", str(l), "--remove-short", str(s))
-        x, k = _root_bracket(n, ((1, na), (0, nb)), 128)
+        x, k = _root_bracket(CharPoly(n, na, nb), 128)
         residual = abs(Fraction(x, 2**k) ** n - na * Fraction(x, 2**k) - nb)
         payload = json.loads(out)
         assert code == 0 and (payload["Na_prime"], payload["Nb_prime"]) == (na, nb)

@@ -6,8 +6,10 @@ tiling text/(1,3) entries) from the mpmath float conversion that the isqrt
 kernel replaced, and (the q > 1 covers and the keep-last and explicit
 policies) from the Fraction-built rows and csv/json writers that the
 integer-backed rows replaced: they cover the gcd reduction of u/q^(n*k) and
-v/q^(n*k), negative numerators and the rational mean gamma = 2 of (1, 2). Any
-change to a row, a float digit or a figure coordinate changes them.
+v/q^(n*k), negative numerators and the rational mean gamma = 2 of (1, 2). The
+dim and estimate digests were taken while the cover-sum exponent still had its
+own root of the degree-n*k cover polynomial. Any change to a row, a float digit
+or a figure coordinate changes them.
 """
 
 import hashlib
@@ -66,6 +68,21 @@ GOLDEN = {
                                      "--policy", "explicit", "--indices", "2,6",
                                      "--depth", "3", "--format", "json"],
      308382, "1b812e893702eb4e30c872ee2d8871756229f34e68a13ace551bb2321eda15b1"),
+    "dim_411": (["dim", *SPEC_411],
+     213, "0fa766f00df2e2d1357343f52eedfb1f4e979dc2db43f817b4a2697084e28be6"),
+    "dim_411_bits53": (["dim", *SPEC_411, "--bits", "53"],
+     212, "2334effb3091da4bd9ebf83a524f342e4a94815dc912717361766cd8770a570c"),
+    "dim_411_bits1000": (["dim", *SPEC_411, "--bits", "1000"],
+     214, "8d8c40a39ddcc670e7fc7ce1c49997332ad66c8e72c608876d2a1703269826fc"),
+    "dim_23521": (["dim", "--p", "2", "--q", "3", "--n", "5", "--remove-long", "2",
+                   "--remove-short", "1"],
+     202, "af5cc5f983b97933cb65230cd4f8aa6ec335d04f66a0118f9c448d21010add31"),
+    "estimate_411_d4": (["estimate", *SPEC_411, "--depth", "4"],
+     180, "a16eeef9d8d89f8129eb5407506a30267fd4b1d2cd4bf0989de733dae74c5a84"),
+    "estimate_3211_explicit_d5": (["estimate", "--p", "3", "--n", "2", "--remove-long", "1",
+                                   "--remove-short", "1", "--policy", "explicit",
+                                   "--indices", "1,3", "--depth", "5"],
+     180, "4dc386826f824a3e2eab5280049ffaf3667a987d8c212ee83420951f943931ea"),
 }
 
 

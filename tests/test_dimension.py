@@ -295,17 +295,17 @@ def test_root_deterministic():
     (1, 1, 4, 1, 1), (2, 1, 2, 1, 0), (1, 1, 3, 0, 1), (3, 3, 5, 2, 1), (1, 1, 2, 1, 0),
 ])
 def test_cover_polynomial_has_the_char_poly_bracket(p, q, n, l, s):
-    # S_k = Y^k: x^(nk) - sum c_m x^(nk-m) and g share their positive root,
-    # and a bracket at k fraction bits depends only on the root
+    # S_k = Y^k: the cover polynomial x^(nk) - sum c_m x^(nk-m) is x^(nk) - (a*x + b)^k,
+    # which has the sign of g on x > 0, so g's bracket holds its positive root at every depth
     spec = FractalSpec(MetallicParams(p, q), n, l, s)
     poly = char_poly(spec)
     for bits in (53, 128):
-        expected = _root_bracket(poly.degree, ((1, poly.linear_coeff), (0, poly.constant_coeff)),
-                                 bits)
-        x, k = expected
-        assert k == bits + 8 and poly(Fraction(x - 1, 2**k)) < 0 <= poly(Fraction(x, 2**k))
+        x, k = _root_bracket(poly, bits)
+        below, above = Fraction(x - 1, 2**k), Fraction(x, 2**k)
+        assert k == bits + 8 and poly(below) < 0 <= poly(above)
         for depth in (1, 2, 5, 12):
-            degree = spec.n * depth
+            degree = n * depth
             counts = cover_summary(spec, depth).exponent_counts()
-            terms = [(degree - m, c) for m, c in counts.items()]
-            assert _root_bracket(degree, terms, bits) == expected
+            low, high = (y**degree - sum(c * y ** (degree - m) for m, c in counts.items())
+                         for y in (below, above))
+            assert low < 0 <= high, (bits, depth)

@@ -78,8 +78,8 @@ def test_empirical_matches_analytic(spec, k):
 
 
 def test_empirical_equals_analytic_bit_for_bit():
-    # the cover polynomial's root is the characteristic polynomial's, and one
-    # integer bracket per root gives one double
+    # the cover polynomial's root is the characteristic polynomial's (S_k = Y^k),
+    # so the cover-sum exponent is the dimension's double at every depth and bits
     for spec in _criterion3_grid():
         analytic = dimension(spec).dim
         for k in (1, 2, 4, 6):
@@ -87,6 +87,8 @@ def test_empirical_equals_analytic_bit_for_bit():
         for k in (1, 2, 3):
             if cover_summary(spec, k).count <= 10_000:  # 4.4e5 intervals at most: 6.5 s
                 assert empirical_dimension(cover_at_depth(spec, k)) == analytic, (spec, k)
+    # a degree-128 cover polynomial at 10^4 bits: 4.9 s when it had its own bracket
+    assert empirical_dimension(cover_summary(SPEC_411, 32), bits=10**4) == dimension(SPEC_411).dim
 
 
 def test_empirical_no_removal_is_one():
@@ -179,9 +181,10 @@ def test_box_dimension_validation_and_cap():
         box_dimension(SPEC_411, 8, cap=1000)
 
 
-def test_negative_exponent_rejected():
+@pytest.mark.parametrize("t", [-0.5, math.nan])
+def test_negative_exponent_rejected(t):
     with pytest.raises(ValueError):
-        hausdorff_sum(cover_at_depth(SPEC_301, 1), -0.5)
+        hausdorff_sum(cover_at_depth(SPEC_301, 1), t)
 
 
 def _exact_least_squares(xs, ys):
