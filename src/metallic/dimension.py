@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import EmptyFractal, Record
-from .limits import DEFAULT_BITS, check_bits
+from .limits import DEFAULT_BITS, check_bits, import_mpmath
 
 ZIV_BITS = 80  # first working precision of the log step; each retry doubles it
 
@@ -86,7 +86,7 @@ def _root_bracket(poly: CharPoly, bits: int) -> tuple[int, int]:
 
 def positive_root(poly: CharPoly, bits: int = DEFAULT_BITS) -> mpmath.mpf:
     """The unique positive root of g, rounded at `bits` from `_root_bracket`."""
-    import mpmath
+    mpmath = import_mpmath()
     x, k = _root_bracket(poly, bits)
     with mpmath.workprec(bits):
         return mpmath.mpf((x, -k))

@@ -40,21 +40,12 @@ from math import isqrt
 from .dimension import ZIV_BITS, _ln_gamma, dimension
 from .errors import Record
 from .fractal import FractalSpec, IntervalCover, _child_layout, check_cover_cap
-from .limits import DEFAULT_BITS, check_bits
+from .limits import DEFAULT_BITS, check_bits, import_mpmath
 from .quadfield import gamma_pow
 from .tiling import _inv_powers
 
 _KEY_BITS = 64  # K of the box counter's breakpoint keys
 _MAX_RUNS = 32  # the most runs of a class the box counter tables
-
-
-def _multiset_sum(counts: dict[int, int], t, log_gamma: mpmath.mpf) -> mpmath.mpf:
-    """sum count_m * gamma^(-m*t) over the exponent multiset, in mpf."""
-    import mpmath
-    total = mpmath.mpf(0)
-    for m, count in sorted(counts.items()):
-        total += count * mpmath.exp(-m * t * log_gamma)
-    return total
 
 
 class HausdorffSum(Record):
@@ -69,14 +60,16 @@ def hausdorff_sum(cover: IntervalCover, t: float, bits: int = DEFAULT_BITS) -> H
     check_bits(bits)
     if not t >= 0:  # NaN too
         raise ValueError("exponent t must be >= 0")
-    import mpmath
+    mpmath = import_mpmath()
     spec = cover.spec
     na, nb = spec.survivor_counts
     lo, hi = _ln_gamma(spec.params, bits + 16)
     with mpmath.workprec(bits):
         log_gamma = mpmath.mpf((lo + hi, -bits - 17))  # the bracket's midpoint
-        value = _multiset_sum(cover.exponent_counts(), mpmath.mpf(t), log_gamma)
-        y = _multiset_sum({spec.n - 1: na, spec.n: nb}, mpmath.mpf(t), log_gamma)
+        # sum count_m * gamma^(-m*t) over each exponent multiset, in mpf, m ascending
+        value, y = (sum((count * mpmath.exp(-m * mpmath.mpf(t) * log_gamma)
+                         for m, count in sorted(counts.items())), mpmath.mpf(0))
+                    for counts in (cover.exponent_counts(), {spec.n - 1: na, spec.n: nb}))
     return HausdorffSum(cover.depth, float(t), float(value), float(y))
 
 

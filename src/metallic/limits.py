@@ -1,4 +1,4 @@
-"""Enumeration caps and precision defaults."""
+"""Enumeration caps, precision defaults and the optional mpmath import."""
 
 import os
 
@@ -30,3 +30,12 @@ def check_bits(bits: int) -> None:
     """
     if bits < MIN_BITS:
         raise ValidationError(f"bits must be >= {MIN_BITS}, got {bits}")
+
+
+def import_mpmath():
+    """mpmath, or an ImportError whose one line names the extra that installs it."""
+    try:
+        import mpmath
+    except ImportError:
+        raise ImportError("mpmath is missing: pip install 'metallic-fractals[mpmath]'") from None
+    return mpmath

@@ -1,36 +1,29 @@
 """Exact arithmetic in Q(gamma) for a metallic mean gamma.
 
 gamma is the positive root of x^2 = p*x + q (p, q positive integers), so every
-element of the field is c0 + c1*gamma with rational c0, c1. Products reduce by
-the single rewrite gamma^2 -> q + p*gamma, and 1/gamma = (gamma - p)/q, so the
-basis {1, gamma} is closed under the ring operations. Signs are decided
-exactly, without ever rounding: write the value as (A + B*sqrt(D))/2 with
-D = p^2 + 4q and compare A^2 against B^2*D when the two terms disagree in sign.
+element of the field is (u + v*gamma)/den with integers u, v and den > 0. An
+element keeps them in lowest terms, gcd(den, u, v) = 1, so equal values have
+equal fields (H. Cohen, A Course in Computational Algebraic Number Theory,
+§4.2). Products reduce by gamma^2 -> q + p*gamma, 1/gamma = (gamma - p)/q, and
+each result costs one gcd. Signs are exact: the value is (a + v*sqrt(D))/(2*den)
+with a = 2u + p*v and D = p^2 + 4q, and a^2 is compared with v^2*D when the
+terms disagree in sign. When D is a perfect square the mean is an integer
+(p=1, q=2 gives gamma=2) and u + v*gamma itself decides.
 
-When D happens to be a perfect square the mean is a rational integer (e.g.
-p=1, q=2 gives gamma=2) and sign questions are settled by plain rational
-evaluation; the same representation is used either way.
+Values are rounded from the integers alone: with S = floor(sqrt(D)*2^k), the
+value times M = 2*den*2^k lies strictly between lo = a*2^k + v*S and lo + v
+(v*sqrt(D) is irrational for v != 0). The field norm a^2 - v^2*D is a nonzero
+integer and bounds the value away from zero however much a and v*sqrt(D)
+cancel, so k is set from bit lengths. `to_mpf` shifts S down from one cached
+per `MetallicParams`, with k sized for a bracket 2^-(bits+32) of the value wide,
+divides to bits + 2 quotient bits and a sticky bit, and doubles k when the two
+ends' quotients differ: it rounds correctly. `to_double` tries k = 192 first,
+then an isqrt bracket one unit wide, until both ends round to one double.
+Only `to_mpf` and `gamma_mpf` import mpmath.
 
-Values are turned into floats from integers alone. Over a common denominator
-den, an element is (u + v*gamma)/den = (a + b*sqrt(D))/m with a = 2u + p*v,
-b = v and m = 2*den. math.isqrt gives the integer t = floor(|b|*sqrt(D)*2^k),
-so the value times m*2^k lies strictly between two consecutive integers lo and
-lo + 1 (strictly, because b*sqrt(D) is irrational for b != 0). The field norm
-a^2 - b^2*D is a nonzero integer and bounds the value away from zero even
-when a and b*sqrt(D) cancel, so k is chosen from bit lengths to make
-|lo| >= 2^bits at once. `to_double` first tries a bracket |v| wide from
-floor(sqrt(D)*2^192), cached per `MetallicParams`, so no isqrt per call; only
-when |v| is large against the scaled value (deep powers such as gamma^-200,
-or past gamma^-1760 a bracket too wide to divide into a float) does it fall
-back to this one, returning lo/(m*2^k) once both ends round to the same double
-(int/int division is correctly rounded) and widening k if they do not.
-`to_mpf` rounds lo/(m*2^k) once at the requested precision. In the degenerate
-case the value is a plain rational and both round u + v*gamma over den exactly
-once. Only `to_mpf` and `gamma_mpf` import mpmath.
-
-`MetallicParams` and `QuadElement` are `errors.Record`s: immutable, equal and
-hashed by value. `MetallicParams` keeps a `__dict__` for its cached derived
-values and computes its hash once; `QuadElement` is slotted.
+`MetallicParams` and `QuadElement` are `errors.Record`s, immutable and equal by
+value. `MetallicParams` caches derived values and its hash in its `__dict__`;
+`QuadElement` is slotted over u, v, den and params and reads c0, c1 as Fractions.
 """
 
 from __future__ import annotations
@@ -40,6 +33,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import ParamsMismatch, Record
+from .limits import import_mpmath
 
 Rational = int | Fraction
 FIXED_BITS = 192  # K of the cached fixed-point sqrt(D) that `to_double` tries first
@@ -48,11 +42,8 @@ MEAN_SYMBOLS = {(1, 1): "φ", (2, 1): "δ", (3, 1): "σ", (1, 2): "α", (1, 3): 
 
 
 class MetallicParams(Record):
-    """The pair (p, q) selecting a metallic mean.
-
-    The hash is computed once: every lru_cache keyed by the mean hashes it.
-    Derived values are cached per instance as they are first read.
-    """
+    """The pair (p, q) selecting a metallic mean. Derived values are cached per
+    instance; the hash, read by every lru_cache keyed by the mean, is computed once."""
 
     _fields = ("p", "q")
 
@@ -80,22 +71,24 @@ class MetallicParams(Record):
     @cached_property
     def sqrt_d_fixed(self) -> int:
         """floor(sqrt(D) * 2^FIXED_BITS)."""
-        return math.isqrt(self.D << (2 * FIXED_BITS))
+        return self.sqrt_d_scaled(FIXED_BITS)
+
+    def sqrt_d_scaled(self, k: int) -> int:
+        """floor(sqrt(D) * 2^k), shifted down from the widest one computed so far."""
+        top, s = self.__dict__.get("_sqrt_d", (-1, 0))
+        if k > top:  # twice as wide as asked, so a growing k costs few isqrts
+            top, s = 2 * k, math.isqrt(self.D << 4 * k)
+            self.__dict__["_sqrt_d"] = top, s
+        return s >> (top - k)
 
     @cached_property
     def rational_root(self) -> int | None:
-        """The mean as an integer in the degenerate case, else None.
-
-        p and isqrt(D) always share parity when D is a square, so the root
-        (p + sqrt(D))/2 is a whole number.
-        """
-        if not self.is_degenerate:
-            return None
-        return (self.p + math.isqrt(self.D)) // 2
+        """The mean as an integer when D is a square (p and sqrt(D) share parity), else None."""
+        return (self.p + math.isqrt(self.D)) // 2 if self.is_degenerate else None
 
     def gamma_mpf(self, bits: int = 128) -> mpmath.mpf:
         """The mean (p + sqrt(D))/2 at the requested binary precision."""
-        import mpmath
+        mpmath = import_mpmath()
         with mpmath.workprec(bits + 10):
             return (self.p + mpmath.sqrt(self.D)) / 2
 
@@ -105,44 +98,57 @@ class MetallicParams(Record):
         return to_double(self, 0, 1, 1)
 
     def one(self) -> QuadElement:
-        return QuadElement(1, 0, self)
+        return _element(1, 0, 1, self)
 
     def zero(self) -> QuadElement:
-        return QuadElement(0, 0, self)
+        return _element(0, 0, 1, self)
 
     def gamma(self) -> QuadElement:
-        return QuadElement(0, 1, self)
+        return _element(0, 1, 1, self)
 
     def __str__(self) -> str:
         return f"(p={self.p}, q={self.q})"
 
 
 class QuadElement(Record):
-    """An exact element c0 + c1*gamma of Q(gamma)."""
+    """An exact element (u + v*gamma)/den of Q(gamma), in lowest terms: den > 0 and
+    gcd(den, u, v) = 1. c0 = u/den and c1 = v/den are read as Fractions."""
 
-    __slots__ = _fields = ("c0", "c1", "params")
+    __slots__ = ("u", "v", "den", "params")
+    _fields = ("c0", "c1", "params")
 
-    def __init__(self, c0: Rational, c1: Rational, params: MetallicParams) -> None:
-        object.__setattr__(self, "c0", c0 if isinstance(c0, Fraction) else Fraction(c0))
-        object.__setattr__(self, "c1", c1 if isinstance(c1, Fraction) else Fraction(c1))
-        object.__setattr__(self, "params", params)
+    def __new__(cls, c0: Rational, c1: Rational, params: MetallicParams) -> QuadElement:
+        c0, c1 = Fraction(c0), Fraction(c1)
+        return _element(c0.numerator * c1.denominator, c1.numerator * c0.denominator,
+                        c0.denominator * c1.denominator, params)
+
+    c0 = property(lambda self: Fraction(self.u, self.den))
+    c1 = property(lambda self: Fraction(self.v, self.den))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.numerators() == other.numerators() and self.params == other.params
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.u, self.v, self.den, self.params))
 
     def _coerce(self, other: QuadElement | Rational) -> QuadElement | None:
         if isinstance(other, QuadElement):
             if other.params != self.params:
                 raise ParamsMismatch(
-                    f"cannot combine elements over {self.params} and {other.params}"
-                )
+                    f"cannot combine elements over {self.params} and {other.params}")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadElement(other, 0, self.params)
+            return _element(other.numerator, 0, other.denominator, self.params)
         return None
 
     def __add__(self, other: QuadElement | Rational) -> QuadElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElement(self.c0 + o.c0, self.c1 + o.c1, self.params)
+        return _element(self.u * o.den + o.u * self.den, self.v * o.den + o.v * self.den,
+                        self.den * o.den, self.params)
 
     __radd__ = __add__
 
@@ -150,13 +156,13 @@ class QuadElement(Record):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElement(self.c0 - o.c0, self.c1 - o.c1, self.params)
+        return self + (-o)
 
     def __rsub__(self, other: QuadElement | Rational) -> QuadElement:
         return (-self) + other
 
     def __neg__(self) -> QuadElement:
-        return QuadElement(-self.c0, -self.c1, self.params)
+        return _element(-self.u, -self.v, self.den, self.params)
 
     def __mul__(self, other: QuadElement | Rational) -> QuadElement:
         o = self._coerce(other)
@@ -164,33 +170,24 @@ class QuadElement(Record):
             return NotImplemented
         p, q = self.params.p, self.params.q
         # (a0 + a1*g)(b0 + b1*g) with g^2 = q + p*g
-        cross = self.c1 * o.c1
-        return QuadElement(
-            self.c0 * o.c0 + q * cross,
-            self.c0 * o.c1 + self.c1 * o.c0 + p * cross,
-            self.params,
-        )
+        cross = self.v * o.v
+        return _element(self.u * o.u + q * cross, self.u * o.v + self.v * o.u + p * cross,
+                        self.den * o.den, self.params)
 
     __rmul__ = __mul__
 
     def inverse(self) -> QuadElement:
-        """Multiplicative inverse.
-
-        Uses the conjugate formula when the field norm is nonzero; in the
-        degenerate case elements can have zero norm yet nonzero value, so the
-        value is then inverted as a plain rational.
-        """
-        p, D = self.params.p, self.params.D
-        a = 2 * self.c0 + self.c1 * p
-        b = self.c1
-        denom = a * a - b * b * D
-        if denom != 0:
-            return QuadElement(2 * (a + b * p) / denom, -4 * b / denom, self.params)
-        g = self.params.rational_root
-        if g is not None:
-            value = self.c0 + self.c1 * g
-            if value != 0:
-                return QuadElement(Fraction(1) / value, 0, self.params)
+        """Multiplicative inverse: the conjugate over the field norm, or, for a
+        rational mean, where a nonzero value may have norm 0, the plain reciprocal."""
+        u, v, den, params = self.u, self.v, self.den, self.params
+        # value = (a + v*sqrt(D))/(2*den), and a - v*sqrt(D) = (a + p*v) - 2*v*gamma
+        a = 2 * u + params.p * v
+        norm = a * a - v * v * params.D
+        if norm != 0:
+            return _element(2 * den * (a + params.p * v), -4 * den * v, norm, params)
+        g = params.rational_root
+        if g is not None and u + v * g != 0:
+            return _element(den, 0, u + v * g, params)
         raise ZeroDivisionError("inverse of zero element")
 
     def __truediv__(self, other: QuadElement | Rational) -> QuadElement:
@@ -202,8 +199,7 @@ class QuadElement(Record):
     def __pow__(self, m: int) -> QuadElement:
         if m < 0:
             return self.inverse() ** (-m)
-        result = self.params.one()
-        base = self
+        result, base = self.params.one(), self
         while m > 0:
             if m & 1:
                 result = result * base
@@ -212,87 +208,93 @@ class QuadElement(Record):
         return result
 
     def sign(self) -> int:
-        """Exact sign of c0 + c1*gamma: -1, 0 or +1."""
+        """Exact sign of (u + v*gamma)/den: -1, 0 or +1."""
+        u, b = self.u, self.v
         g = self.params.rational_root
         if g is not None:
-            value = self.c0 + self.c1 * g
+            value = u + b * g
             return (value > 0) - (value < 0)
-        # value = (A + B*sqrt(D)) / 2
-        a = 2 * self.c0 + self.c1 * self.params.p
-        b = self.c1
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        # opposite signs: the larger of A^2 and B^2*D wins
-        lhs = a * a
-        rhs = b * b * self.params.D
-        if a > 0:
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        a = 2 * u + b * self.params.p  # value = (a + b*sqrt(D)) / (2*den)
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sa * sb >= 0:  # a term is zero, or both agree
+            return sa or sb
+        # opposite signs: the larger of a^2 and b^2*D wins (they differ: D is no square)
+        return sa if a * a > b * b * self.params.D else sb
 
     def is_zero(self) -> bool:
         return self.sign() == 0
 
     def numerators(self) -> tuple[int, int, int]:
-        """(u, v, den) with value (u + v*gamma)/den; den is the least common
-        denominator of c0 and c1."""
-        d0, d1 = self.c0.denominator, self.c1.denominator
-        den = math.lcm(d0, d1)
-        return self.c0.numerator * (den // d0), self.c1.numerator * (den // d1), den
+        """(u, v, den) with value (u + v*gamma)/den, in lowest terms."""
+        return self.u, self.v, self.den
 
     def to_mpf(self, bits: int = 128) -> mpmath.mpf:
-        """The value rounded once to `bits` bits: relative error below 2^(1-bits),
-        however much c0 and c1*gamma cancel."""
+        """The value rounded to nearest at `bits` bits, however much u and v*gamma cancel."""
         if bits < 53:
             raise ValueError("bits must be >= 53")
-        import mpmath
-        u, v, den = self.numerators()
-        g = self.params.rational_root
-        if g is not None or v == 0:
-            num, scaled_den = u + v * (g or 0), den
-        else:
-            num, scaled_den = _bracket(self.params, u, v, den, bits + 4)
-        # a quotient of bits + 2 bits or more and a sticky remainder bit round like the ratio
-        shift = max(0, bits + 2 + scaled_den.bit_length() - abs(num).bit_length())
-        quo, rem = divmod(abs(num) << shift, scaled_den)
-        man = (2 * quo + (rem != 0)) * (-1 if num < 0 else 1)
+        mpmath = import_mpmath()
+        u, v, den, params = self.u, self.v, self.den, self.params
+        g = params.rational_root
+        if g is not None or v == 0:  # the value is num/scale exactly
+            num, scale, width = u + v * (g or 0), den, 0
+        else:  # |a + v*sqrt(D)| = |norm|/|a - v*sqrt(D)| > 2^-size > |v|*2^(bits+32-k)
+            a, width = 2 * u + params.p * v, abs(v)
+            size = max(a.bit_length(), width.bit_length() + (params.D.bit_length() + 1) // 2) + 1
+            k = bits + 32 + size + width.bit_length()
+        while True:
+            if width:  # num < value*scale < num + |v|
+                s = params.sqrt_d_scaled(k)
+                num, scale = (a << k) + v * (s if v > 0 else s + 1), den << (k + 1)
+            n = num if num >= 0 else -num - width  # |value|*scale lies in [n, n + width]
+            # a quotient of bits + 2 bits or more, and a sticky bit, round like the value
+            shift = bits + 2 + scale.bit_length() - n.bit_length()
+            up, down = (shift, 0) if shift >= 0 else (0, -shift)
+            quo, rem = divmod(n << up, scale << down)
+            if rem + (width << up) < scale << down:  # the upper end has the same floor
+                break
+            k *= 2
+        man = (2 * quo + ((rem or width) != 0)) * (1 if num >= 0 else -1)
         libmp = mpmath.libmp
         return mpmath.mp.make_mpf(libmp.from_man_exp(man, -shift - 1, bits, libmp.round_nearest))
 
     def __float__(self) -> float:
-        return to_double(self.params, *self.numerators())
+        return to_double(self.params, self.u, self.v, self.den)
 
     def __str__(self) -> str:
         return f"{self.c0} + {self.c1}*gamma"
 
 
+_new = object.__new__  # allocates; the setters below write past Record's __setattr__
+_SET_U, _SET_V, _SET_DEN, _SET_PARAMS = (getattr(QuadElement, name).__set__
+                                         for name in QuadElement.__slots__)
+
+
+def _element(u: int, v: int, den: int, params: MetallicParams) -> QuadElement:
+    """(u + v*gamma)/den for den != 0, in lowest terms by one gcd. den goes first:
+    gcd(1, u, v) returns at once, and for q = 1 every cover start has den 1."""
+    g = math.gcd(den, u, v) if den > 0 else -math.gcd(den, u, v)
+    if g != 1:
+        u, v, den = u // g, v // g, den // g
+    x = _new(QuadElement)
+    _SET_U(x, u)
+    _SET_V(x, v)
+    _SET_DEN(x, den)
+    _SET_PARAMS(x, params)
+    return x
+
+
 @lru_cache(maxsize=4096)
 def gamma_pow(params: MetallicParams, m: int) -> QuadElement:
-    """gamma^m as an exact element, any integer m.
-
-    Negative powers use the basis element (gamma - p)/q, which multiplies back
-    against gamma to exactly (1, 0) under the gamma^2 rewrite, so inverse
-    powers stay structural even when the mean is rational.
-    """
+    """gamma^m as an exact element, any integer m. Negative powers are powers of
+    (gamma - p)/q, which times gamma is exactly 1, also when the mean is rational."""
     if m >= 0:
         return params.gamma() ** m
-    p, q = params.p, params.q
-    recip = QuadElement(Fraction(-p, q), Fraction(1, q), params)
-    return recip ** (-m)
+    return _element(-params.p, 1, params.q, params) ** (-m)
 
 
 def _bracket(params: MetallicParams, u: int, v: int, den: int, bits: int) -> tuple[int, int]:
-    """(lo, M) with lo < (u + v*gamma)/den * M < lo + 1 and |lo| >= 2^bits.
-
-    Needs v != 0, den > 0 and gamma irrational. With a = 2u + p*v, m = 2*den
-    the value is (a + v*sqrt(D))/m, and M = m*2^k. Since
-    |a + v*sqrt(D)| = |a^2 - v^2*D| / |a - v*sqrt(D)|, the integer norm bounds
-    the value from below, and k is set from bit lengths to meet the 2^bits
-    target in one isqrt.
-    """
+    """(lo, M) with lo < (u + v*gamma)/den * M < lo + 1 and |lo| >= 2^bits, for v != 0,
+    den > 0 and gamma irrational: one isqrt, at a k set from the norm's bit length."""
     a, m = 2 * u + params.p * v, 2 * den
     bb = v * v * params.D
     norm_bits = (a * a - bb).bit_length()
@@ -306,11 +308,8 @@ def _bracket(params: MetallicParams, u: int, v: int, den: int, bits: int) -> tup
 
 def to_double(params: MetallicParams, u: int, v: int, den: int) -> float:
     """The correctly rounded double of (u + v*gamma)/den, for integers u, v and den > 0.
-
-    With S = floor(sqrt(D)*2^K), K = FIXED_BITS, the value times 2*den*2^K lies strictly between
-    lo = (2u + p*v)*2^K + v*S and lo + v (sqrt(D)*2^K is irrational); int/int division
-    rounds correctly and monotonically, so one nonzero double at both ends is the
-    answer. Otherwise the isqrt bracket decides."""
+    int/int division rounds correctly and monotonically, so one nonzero double at both
+    ends of the k = FIXED_BITS bracket is the answer; otherwise the isqrt bracket decides."""
     g = params.rational_root
     if g is not None or v == 0:
         return (u + v * (g or 0)) / den

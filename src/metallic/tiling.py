@@ -14,13 +14,12 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import attrgetter
 
 from .errors import CapExceeded, Record
 from .limits import resolve_cap
-from .quadfield import MetallicParams, QuadElement, gamma_pow
+from .quadfield import MetallicParams, QuadElement, _element, gamma_pow
 from .substitution import tile_counts, word_at_step
 
 
@@ -50,7 +49,7 @@ class Tile:
 
     @property
     def start(self) -> QuadElement:
-        return QuadElement(Fraction(self.u, self.den), Fraction(self.v, self.den), self.params)
+        return _element(self.u, self.v, self.den, self.params)
 
     @property
     def length(self) -> QuadElement:

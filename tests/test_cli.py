@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import os
@@ -526,6 +527,44 @@ print(sys.modules.get('mpmath'))
     assert blocked == present and len(blocked) == len(argvs) + 7
     assert blocked[-1] == "None"  # nor did the run with mpmath present load it
 
+
+def test_mpmath_calls_name_the_extra_when_mpmath_is_missing():
+    script = """
+import sys
+sys.modules["mpmath"] = None
+from metallic import (CharPoly, FractalSpec, MetallicParams, cover_summary, hausdorff_sum,
+                      positive_root)
+golden = MetallicParams(1, 1)
+calls = [golden.gamma().to_mpf, golden.gamma_mpf, lambda: positive_root(CharPoly(2, 1, 1)),
+         lambda: hausdorff_sum(cover_summary(FractalSpec(golden, 4, 1, 1), 2), 0.5)]
+for call in calls:
+    try:
+        call()
+    except ImportError as exc:
+        print(repr(exc))
+"""
+    result = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV,
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    message = "ImportError(\"mpmath is missing: pip install 'metallic-fractals[mpmath]'\")"
+    assert result.stdout == f"{message}\n" * 4
+
+
+def test_estimate_finds_the_root_once(monkeypatch):
+    # the cover-sum exponent is the dimension's own double: one root serves both numbers
+    real = importlib.import_module("metallic.dimension").dimension
+    calls = []
+
+    def counting(spec, bits=128):
+        calls.append(bits)
+        return real(spec, bits)
+
+    for module in ("metallic.cli", "metallic.dimension", "metallic.estimate"):
+        monkeypatch.setattr(importlib.import_module(module), "dimension", counting)
+    code, out = run_cli("estimate", "--n", "3", "--remove-short", "1", "--bits", "100000")
+    payload = json.loads(out)
+    assert code == 0 and calls == [100000]
+    assert payload["empirical_dim"] == payload["analytic_dim"] == 0.7202100452062783
 
 def test_dim_residual_is_exact_at_the_root_bracket():
     # |g(X/2^k)| from exact Fractions, rounded once, at the bracket the root comes from;

@@ -1,8 +1,11 @@
 """Exact field arithmetic, sign determination, and float conversion."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
@@ -203,8 +206,8 @@ def test_to_mpf_tolerance():
 
 
 def _from_rational(x, bits):
-    """x rounded to nearest at `bits` by mpmath's rational division, from the numerator
-    and denominator that `to_mpf` rounds."""
+    """The lower end of x's `_bracket` (or x itself, when exact) rounded to nearest at
+    `bits` by mpmath's rational division: x rounded, unless x lies near a midpoint."""
     u, v, den = x.numerators()
     if x.params.rational_root is None and v:
         num, scaled_den = quadfield._bracket(x.params, u, v, den, bits + 4)
@@ -234,7 +237,37 @@ def test_to_mpf_rounds_like_a_rational_division():
         u, v = (rng.choice((0, rng.randint(-2**size, 2**size))) for _ in "uv")
         x = qe(Fraction(u, rng.choice(dens)), Fraction(v, rng.choice(dens)), params)
         for bits in (53, 64, 128, 300):
-            assert x.to_mpf(bits) == _from_rational(x, bits), (x, bits)
+            assert _rounds_to_nearest(x, x.to_mpf(bits), bits), (x, bits)
+
+
+def _rounds_to_nearest(x, r, bits):
+    """r is x rounded to nearest at `bits` bits: x lies between the midpoints from r to
+    its two neighbours, and on one only if r's mantissa is even. Decided by exact signs."""
+    if r == 0:
+        return x.sign() == 0
+    man, exp = r.man_exp  # man is |mantissa|; widen it to exactly `bits` bits
+    man, exp = man << (bits - man.bit_length()), exp - (bits - man.bit_length())
+    size = Fraction(man) * Fraction(2) ** exp
+    below = Fraction(2) ** (exp - (man == 1 << (bits - 1)))  # the gap to the next smaller size
+    magnitude = x if r > 0 else -x
+    lower = (magnitude - (size - below / 2)).sign()
+    upper = (size + Fraction(2) ** exp / 2 - magnitude).sign()
+    return lower >= 0 and upper >= 0 and (lower and upper or man % 2 == 0)
+
+
+def test_to_mpf_near_a_rounding_midpoint():
+    # the lower end of the value's unit bracket rounds to the neighbour of the answer
+    x = qe(Fraction(-458942938625259961, 256), Fraction(567194525723104751, 34359738368),
+           MetallicParams(2, 5))
+    with mpmath.workprec(128):
+        nearest, neighbour = (-mpmath.mpf((270912085259286129948907059619775998720 + j, -77))
+                              for j in (7, 8))
+    assert x.to_mpf(128) == nearest and _rounds_to_nearest(x, nearest, 128)
+    assert not _rounds_to_nearest(x, neighbour, 128)
+    # exact rationals on a midpoint round to the even neighbour
+    for value, even in ((2**53 + 1, 2**53), (2**53 + 3, 2**53 + 4), (-(2**60 + 2**7), -2**60)):
+        x = qe(value, 0, SILVER)
+        assert x.to_mpf(53) == even and _rounds_to_nearest(x, x.to_mpf(53), 53)
 
 
 def test_to_mpf_rejects_low_precision():
@@ -352,3 +385,87 @@ def test_to_double_underflows_where_fixed_point_bracket_overflows(m):
     # the largest double; the isqrt bracket still settles the value
     assert float(gamma_pow(GOLDEN, -m)) == 0.0
     assert float(1 - gamma_pow(GOLDEN, -m)) == 1.0
+
+
+# Elements are integers (u + v*gamma)/den in lowest terms; Fractions are only read.
+
+_fractions = st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**9))
+
+
+def _lowest_terms(x):
+    return x.den > 0 and math.gcd(x.den, x.u, x.v) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_params, st.integers(-10**20, 10**20), st.integers(-10**20, 10**20),
+       st.integers(1, 10**9), st.integers(-10**6, 10**6).filter(bool))
+def test_integer_and_fraction_elements_agree(params, u, v, den, factor):
+    # a common factor, and a negative den when factor < 0, reduce away
+    x = QuadElement(Fraction(u, den), Fraction(v, den), params)
+    y = quadfield._element(u * factor, v * factor, den * factor, params)
+    assert x == y and hash(x) == hash(y) and x.numerators() == y.numerators()
+    assert _lowest_terms(x) and _lowest_terms(y)
+    assert (y.c0, y.c1) == (Fraction(u, den), Fraction(v, den))
+    assert str(y) == f"{Fraction(u, den)} + {Fraction(v, den)}*gamma"
+
+
+@pytest.mark.parametrize("params", [GOLDEN, COPPER])
+def test_zero_has_one_representation(params):
+    zeros = [params.zero(), QuadElement(0, 0, params), QuadElement(Fraction(0, 5), 0, params),
+             quadfield._element(0, 0, -12, params), params.gamma() - params.gamma()]
+    assert all(z.numerators() == (0, 0, 1) for z in zeros)
+    assert len(set(zeros)) == 1 and zeros[0] != params.one()
+
+
+def _reference(params, c0, c1, d0, d1):
+    """Sum, difference, product and, when defined, inverse of c0 + c1*gamma and
+    d0 + d1*gamma as Fraction pairs."""
+    p, q, D, g = params.p, params.q, params.D, params.rational_root
+    cross = c1 * d1
+    results = [(c0 + d0, c1 + d1), (c0 - d0, c1 - d1),
+               (c0 * d0 + q * cross, c0 * d1 + c1 * d0 + p * cross)]
+    a = 2 * c0 + c1 * p  # the value is (a + c1*sqrt(D))/2
+    norm = a * a - c1 * c1 * D
+    if norm:
+        results.append((2 * (a + c1 * p) / norm, -4 * c1 / norm))
+    elif g is not None and c0 + c1 * g:
+        results.append((1 / (c0 + c1 * g), Fraction(0)))
+    return results
+
+
+@settings(max_examples=300, deadline=None)
+@given(_params, _fractions, _fractions, _fractions, _fractions)
+def test_ring_operations_match_a_fraction_reference(params, c0, c1, d0, d1):
+    x, y = QuadElement(c0, c1, params), QuadElement(d0, d1, params)
+    expected = _reference(params, c0, c1, d0, d1)
+    got = [x + y, x - y, x * y]
+    if len(expected) == 4:
+        got.append(x.inverse())
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    for element, pair in zip(got, expected, strict=True):
+        assert (element.c0, element.c1) == pair and _lowest_terms(element)
+        assert element == QuadElement(*pair, params)
+    assert -x == QuadElement(-c0, -c1, params) and x - x == params.zero()
+    assert x + d0 == QuadElement(c0 + d0, c1, params) == d0 + x
+    assert x * d0 == QuadElement(c0 * d0, c1 * d0, params) == d0 * x
+    if y.sign():  # equal values; for a rational mean, not always equal fields
+        assert ((x / y) * y - x).sign() == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_elements())
+def test_elements_pickle_and_copy(x):
+    for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(clone) is QuadElement and clone == x and hash(clone) == hash(x)
+        assert clone.numerators() == x.numerators() and clone.params == x.params
+
+
+@pytest.mark.parametrize("spec", [FractalSpec(GOLDEN, 4, 1, 1), FractalSpec(SILVER, 2, 0, 1),
+                                  FractalSpec(MetallicParams(1, 3), 2, 0, 1)])
+def test_tile_start_is_the_fraction_element(spec):
+    for iv in islice(iter_cover_intervals(spec, 12), 200):
+        start = iv.start
+        assert start == QuadElement(Fraction(iv.u, iv.den), Fraction(iv.v, iv.den), spec.params)
+        assert _lowest_terms(start) and float(start) == to_double(spec.params, iv.u, iv.v, iv.den)
