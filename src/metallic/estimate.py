@@ -14,20 +14,16 @@ Two estimators work straight from covers:
   gives them as integer pairs and a grid index is the floor of
   (A + B*sqrt(D))/M, settled with math.isqrt: an endpoint that falls exactly
   on a grid point lands in the right box, and no floating point enters the
-  count. A run of leaves whose gaps are all narrower than a box meets every
-  box from the one holding its first start to the one holding its last end,
-  and runs a box or more apart share none. Translated subtrees share one table
-  of their runs: the boxes one meets depend only on f, the fractional part of
-  its start, since each run start's breakpoint in f counts from itself onward
-  and each run end's only past it. So a subtree costs one floor and two bisects.
-  Counting is done on a cover deep enough that every interval is at
-  most eps wide - counting the depth-k cover at a finer scale would measure
-  the solid intervals (slope pulled toward 1), not the limit set. Scales
-  follow eps_k = gamma^(-n*k), so dividing by eps_k is multiplying by
-  gamma^(n*k) in Z[gamma], and the dimension is the least-squares slope of
-  log N against log(1/eps) over k = 2..k_max: the exact least squares of
-  the double xs and ys, taken in Fractions and rounded once, so that it is
-  the same double on every Python version.
+  count. Translated subtrees share one table of their runs of leaves, so a
+  subtree costs one floor and two bisects (`_count_boxes`). Counting is done
+  on a cover deep enough that every interval is at most eps wide - counting
+  the depth-k cover at a finer scale would measure the solid intervals (slope
+  pulled toward 1), not the limit set. Scales follow eps_k = gamma^(-n*k): a
+  fit counts them all on one table scaled by gamma^(n*k_max), the scale-k
+  cover rooted at exponent n*(k_max - k), so subtree classes are keyed across
+  its scales. The dimension is the least-squares slope of log N against
+  log(1/eps) over k = 2..k_max, exact from the double points and rounded
+  once, so that it is the same double on every Python version.
 """
 
 from __future__ import annotations
@@ -82,8 +78,13 @@ def empirical_dimension(cover: IntervalCover, bits: int = DEFAULT_BITS) -> float
     return dimension(cover.spec, bits).dim
 
 
-def _count_boxes(spec: FractalSpec, depth: int, scale: tuple[int, int], den: int) -> int:
-    """Unit boxes [j, j+1) met by the cover at `depth` times (s0 + s1*gamma)/den.
+def _count_boxes(spec: FractalSpec, depth: int, scale: tuple[int, int], den: int,
+                 roots: list[tuple[int, int]]) -> list[int]:
+    """Unit boxes [j, j+1) met by each root's cover times (s0 + s1*gamma)/den.
+
+    A root (r, levels) is the node gamma^-r long at 0 with `levels` levels below it, on
+    one table of depth `depth`. A fit roots scale k at r = n*(k_max - k) on a table scaled
+    by gamma^(n*k_max): a class is keyed across its scales, and its tables built once.
 
     Each endpoint is y/M with y = A + B*sqrt(D), integers A, B and M > 0, and
     floor(y/M) = floor(floor(y)/M). With t = isqrt(B^2 D), floor(y) is A + t
@@ -127,15 +128,16 @@ def _count_boxes(spec: FractalSpec, depth: int, scale: tuple[int, int], den: int
         return floor2(-u - o0, -v - o1) < 2 * (below - whole)
 
     steps = [x for x, c in zip((n - 1, n), spec.survivor_counts) if c]
-    levels = [{0}]  # the exponents reachable at each depth
-    for _ in range(depth):
-        levels.append({e + x for e in levels[-1] for x in steps})
+    # levels[left]: the exponents of the nodes with `left` levels below them, over every root
+    levels = [{r for r, t in roots if t == left} for left in range(max(t for _, t in roots) + 1)]
+    for left in reversed(range(len(levels) - 1)):
+        levels[left] |= {e + x for e in levels[left + 1] for x in steps}
     children = _child_layout(spec, g)
-    kids = {e: children(e) for e in set().union(*levels[:-1])}
+    kids = {e: children(e) for e in set().union(*levels[1:])}
     # runs[left][e]: offsets (s0, s1, e0, e1) of each run's first start and last end in
     # a node gamma^-e long with `left` levels below it, or None past _MAX_RUNS runs
-    runs = [{e: [(0, 0, *g[e])] for e in levels[-1]}]
-    for level in reversed(levels[:-1]):
+    runs = [{e: [(0, 0, *g[e])] for e in levels[0]}]
+    for level in levels[1:]:
         below, row = runs[-1], {}
         for e in level:
             spans = []
@@ -150,38 +152,39 @@ def _count_boxes(spec: FractalSpec, depth: int, scale: tuple[int, int], den: int
                 spans += part
             row[e] = spans if spans and len(spans) <= _MAX_RUNS else None
         runs.append(row)
-    tables: dict[tuple[int, int], tuple] = {}  # built for the classes the walk counts at
-    total, last = 0, None
-    stack = [(0, 0, 0, depth)]
-    while stack:
-        u, v, e, left = stack.pop()
-        spans = runs[left][e]
-        if spans is None:
-            stack.extend([(u + du, v + dv, x, left - 1) for du, dv, x in reversed(kids[e])])
-            continue
-        if (left, e) not in tables:
-            starts = [point(s0, s1, True) for s0, s1, _, _ in spans]
-            ends = [point(e0, e1, False) for _, _, e0, e1 in spans]
-            base = sum(pt[4] for pt in starts) - sum(pt[4] for pt in ends) + len(spans)  # N(0)
-            edges, starts, ends = (starts[0], ends[-1]), sorted(starts), sorted(ends)
-            keys = [pt[0] for pt in starts], [pt[0] for pt in ends]
-            tables[left, e] = *keys, starts, ends, base, edges
-        skeys, ekeys, starts, ends, base, (first, end) = tables[left, e]
-        y = floor2(u << _KEY_BITS, v << _KEY_BITS)
-        whole, key = y >> shift, y & mask
-        i, j = bisect_right(skeys, key), bisect_left(ekeys, key)
-        count = base - i + j
-        if key & 1:  # the bisects took breakpoints with f's odd key as equal to f: a start
-            # is then counted and an end is not, which after() confirms or corrects
-            tied = starts[bisect_left(skeys, key):i] + ends[j:bisect_right(ekeys, key)]
-            count += sum(after(pt, key, u, v, whole) != pt[1] for pt in tied)
-        # floor(x + S) and ceil(x + E) - 1 of the first start and the last end
-        j0 = whole - first[4] - 1 + after(first, key, u, v, whole)
-        j1 = whole - end[4] - 1 + after(end, key, u, v, whole)
-        # sorted, disjoint subtrees: j0 >= last, and only box `last` is shared
-        total += count - (j0 == last)
-        last = j1
-    return total
+    tables, counts = {}, []  # tables: built for the classes the walks count at
+    for r, t in roots:
+        total, last, stack = 0, None, [(0, 0, r, t)]
+        while stack:
+            u, v, e, left = stack.pop()
+            spans = runs[left][e]
+            if spans is None:
+                stack.extend([(u + du, v + dv, x, left - 1) for du, dv, x in reversed(kids[e])])
+                continue
+            if (left, e) not in tables:
+                starts = [point(s0, s1, True) for s0, s1, _, _ in spans]
+                ends = [point(e0, e1, False) for _, _, e0, e1 in spans]
+                base = sum(pt[4] for pt in starts) - sum(pt[4] for pt in ends) + len(spans)  # N(0)
+                edges, starts, ends = (starts[0], ends[-1]), sorted(starts), sorted(ends)
+                keys = [pt[0] for pt in starts], [pt[0] for pt in ends]
+                tables[left, e] = *keys, starts, ends, base, edges
+            skeys, ekeys, starts, ends, base, (first, end) = tables[left, e]
+            y = floor2(u << _KEY_BITS, v << _KEY_BITS)
+            whole, key = y >> shift, y & mask
+            i, j = bisect_right(skeys, key), bisect_left(ekeys, key)
+            count = base - i + j
+            if key & 1:  # the bisects took breakpoints with f's odd key as equal to f: a start
+                # is then counted and an end is not, which after() confirms or corrects
+                tied = starts[bisect_left(skeys, key):i] + ends[j:bisect_right(ekeys, key)]
+                count += sum(after(pt, key, u, v, whole) != pt[1] for pt in tied)
+            # floor(x + S) and ceil(x + E) - 1 of the first start and the last end
+            j0 = whole - first[4] - 1 + after(first, key, u, v, whole)
+            j1 = whole - end[4] - 1 + after(end, key, u, v, whole)
+            # sorted, disjoint subtrees: j0 >= last, and only box `last` is shared
+            total += count - (j0 == last)
+            last = j1
+        counts.append(total)
+    return counts
 
 
 def box_count(cover: IntervalCover, eps, bits: int = DEFAULT_BITS) -> int:
@@ -190,12 +193,13 @@ def box_count(cover: IntervalCover, eps, bits: int = DEFAULT_BITS) -> int:
     eps (int, float, Fraction or mpmath mpf) is used at its exact rational
     value and the count is exact; bits is not needed for that and is ignored.
     """
-    if hasattr(eps, "man") and hasattr(eps, "exp"):  # an mpf, read without importing mpmath
-        eps = Fraction(eps.man) * Fraction(2) ** eps.exp
+    if hasattr(eps, "_mpf_"):  # an mpf (sign, man, exp, bc), read without importing mpmath
+        eps = Fraction((-1) ** eps._mpf_[0] * eps.man) * Fraction(2) ** eps.exp
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    return _count_boxes(cover.spec, cover.depth, (eps.denominator, 0), eps.numerator)
+    depth = cover.depth
+    return _count_boxes(cover.spec, depth, (eps.denominator, 0), eps.numerator, [(0, depth)])[0]
 
 
 class BoxCountFit(Record):
@@ -232,10 +236,10 @@ def box_dimension(spec: FractalSpec, k_max: int, cap: int | None = None,
     # the shallowest covers whose widest interval is at most gamma^(-n*k)
     depths = tuple(math.ceil(spec.n * k / (spec.n - 1)) for k in scales)
     check_cover_cap(spec, depths[-1], cap)
-    # N(gamma^-nk) is the number of unit boxes the cover meets once scaled by gamma^nk
-    powers = (gamma_pow(spec.params, spec.n * k) for k in scales)
-    counts = tuple(_count_boxes(spec, depth, (int(g.c0), int(g.c1)), 1)
-                   for depth, g in zip(depths, powers))
+    # N(gamma^-nk): the cover rooted at gamma^-(n*(k_max - k)) on a table times gamma^(n*k_max)
+    top = gamma_pow(spec.params, spec.n * k_max)
+    roots = [(spec.n * (k_max - k), depth) for k, depth in zip(scales, depths)]
+    counts = tuple(_count_boxes(spec, depths[-1], (top.u, top.v), 1, roots))
     w = ZIV_BITS
     while True:  # xs = n*k*log(gamma), correctly rounded: both ends of each bracket agree
         lo, hi = _ln_gamma(spec.params, w)

@@ -16,10 +16,11 @@ value times M = 2*den*2^k lies strictly between lo = a*2^k + v*S and lo + v
 integer and bounds the value away from zero however much a and v*sqrt(D)
 cancel, so k is set from bit lengths. `to_mpf` shifts S down from one cached
 per `MetallicParams`, with k sized for a bracket 2^-(bits+32) of the value wide,
-divides to bits + 2 quotient bits and a sticky bit, and doubles k when the two
-ends' quotients differ: it rounds correctly. `to_double` tries k = 192 first,
-then an isqrt bracket one unit wide, until both ends round to one double.
-Only `to_mpf` and `gamma_mpf` import mpmath.
+divides to bits + 2 quotient bits, doubling k until both ends' quotients agree,
+and rounds them with a sticky bit to nearest-even in integers: it rounds
+correctly, and builds mpmath's normalised (sign, man, exp, bc) tuple itself.
+`to_double` tries k = 192 first, then an isqrt bracket one unit wide, until
+both ends round to one double. Only `to_mpf` and `gamma_mpf` import mpmath.
 
 `MetallicParams` and `QuadElement` are `errors.Record`s, immutable and equal by
 value. `MetallicParams` caches derived values and its hash in its `__dict__`;
@@ -232,7 +233,7 @@ class QuadElement(Record):
         """The value rounded to nearest at `bits` bits, however much u and v*gamma cancel."""
         if bits < 53:
             raise ValueError("bits must be >= 53")
-        mpmath = import_mpmath()
+        make_mpf, mpz = _mpf_parts()
         u, v, den, params = self.u, self.v, self.den, self.params
         g = params.rational_root
         if g is not None or v == 0:  # the value is num/scale exactly
@@ -253,9 +254,13 @@ class QuadElement(Record):
             if rem + (width << up) < scale << down:  # the upper end has the same floor
                 break
             k *= 2
-        man = (2 * quo + ((rem or width) != 0)) * (1 if num >= 0 else -1)
-        libmp = mpmath.libmp
-        return mpmath.mp.make_mpf(libmp.from_man_exp(man, -shift - 1, bits, libmp.round_nearest))
+        if not quo:  # the value is 0
+            return make_mpf((0, mpz(0), 0, 0))
+        x = 2 * quo + ((rem or width) != 0)  # the quotient and a sticky bit, bits + 3 or 4 bits
+        d = x.bit_length() - bits  # the bits rounded off
+        man = (x + (1 << d - 1) - 1 + (x >> d & 1)) >> d  # to nearest, ties to even
+        tz = (man & -man).bit_length() - 1  # trailing zeros, shifted out: the mantissa is odd
+        return make_mpf((int(num < 0), mpz(man >> tz), d + tz - shift - 1, man.bit_length() - tz))
 
     def __float__(self) -> float:
         return to_double(self.params, self.u, self.v, self.den)
@@ -290,6 +295,13 @@ def gamma_pow(params: MetallicParams, m: int) -> QuadElement:
     if m >= 0:
         return params.gamma() ** m
     return _element(-params.p, 1, params.q, params) ** (-m)
+
+
+@lru_cache(maxsize=None)
+def _mpf_parts():
+    """mpmath's mpf from a normalised (sign, man, exp, bc) tuple, and its mantissa type."""
+    mpmath = import_mpmath()
+    return mpmath.mp.make_mpf, mpmath.libmp.MPZ
 
 
 def _bracket(params: MetallicParams, u: int, v: int, den: int, bits: int) -> tuple[int, int]:

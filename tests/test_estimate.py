@@ -116,6 +116,15 @@ def test_box_count_unit_interval():
         box_count(cover, 1.5)
 
 
+def test_box_count_rejects_a_negative_mpf_eps():
+    # an mpf's .man is its mantissa's absolute value: the sign is read from _mpf_
+    cover = cover_at_depth(FractalSpec(GOLDEN, 4, 1, 1), 3)
+    assert box_count(cover, mpmath.mpf(0.25)) == box_count(cover, 0.25) == 3
+    for eps in (-0.25, mpmath.mpf(-0.25)):
+        with pytest.raises(ValueError):
+            box_count(cover, eps)
+
+
 def test_box_count_301_depth1_pinned_by_brute_force():
     # survivors [0, 1/phi^2] and [1/phi, 1] at grid width 1/phi^3
     cover = cover_at_depth(SPEC_301, 1)

@@ -13,13 +13,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metallic import (
     FractalSpec,
     MetallicParams,
     box_count,
+    box_dimension,
     cover_at_depth,
     dimension,
     gamma_pow,
@@ -178,7 +179,7 @@ def test_box_counts_at_powers_of_gamma_equal_an_exact_floor_count(case, data):
     spec, depth = case
     k = data.draw(st.integers(0, depth))
     scale = gamma_pow(spec.params, spec.n * k)
-    count = _count_boxes(spec, depth, (int(scale.c0), int(scale.c1)), 1)
+    [count] = _count_boxes(spec, depth, (int(scale.c0), int(scale.c1)), 1, [(0, depth)])
     assert count == reference_box_count(cover_at_depth(spec, depth), scale)
 
 
@@ -191,7 +192,7 @@ def test_box_counts_with_long_leaves_one_box_wide(spec, k):
     while sum(spec.survivor_counts) ** (2 * k) > 1024:
         k -= 1
     scale = gamma_pow(spec.params, 2 * k)
-    count = _count_boxes(spec, 2 * k, (int(scale.c0), int(scale.c1)), 1)
+    [count] = _count_boxes(spec, 2 * k, (int(scale.c0), int(scale.c1)), 1, [(0, 2 * k)])
     assert count == reference_box_count(cover_at_depth(spec, 2 * k), scale)
 
 
@@ -203,8 +204,44 @@ def test_box_counts_from_run_tables_above_the_leaves(policy, indices):
     # so the counter tables runs of subtrees above the leaves
     spec = FractalSpec(MetallicParams(3, 1), 2, 1, 1, policy, indices)
     scale = gamma_pow(spec.params, 10)
-    count = _count_boxes(spec, 10, (int(scale.c0), int(scale.c1)), 1)
+    [count] = _count_boxes(spec, 10, (int(scale.c0), int(scale.c1)), 1, [(0, 10)])
     assert count == reference_box_count(cover_at_depth(spec, 10), scale)
+
+
+@st.composite
+def fits(draw, max_intervals=2048):
+    """A spec over box_means and a k_max >= 4 whose deepest fit cover has at most
+    `max_intervals` intervals, with the depth of each scale k = 2..k_max."""
+    spec = draw(specs(box_means))
+    per_level = sum(spec.survivor_counts)
+
+    def depths(k_max):
+        return [math.ceil(spec.n * k / (spec.n - 1)) for k in range(2, k_max + 1)]
+
+    k_max = draw(st.integers(4, 6))
+    while k_max > 4 and per_level ** depths(k_max)[-1] > max_intervals:
+        k_max -= 1
+    assume(per_level ** depths(k_max)[-1] <= max_intervals)
+    return spec, k_max, depths(k_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fits())
+def test_box_dimension_counts_equal_single_scale_counts(case):
+    # box_dimension counts every scale on one table scaled by gamma^(n*k_max), the scale-k
+    # cover rooted at exponent n*(k_max - k), so run and breakpoint tables cross scales.
+    # Keys of a bit or none make equal-key ties, and one or two runs leave classes
+    # untabled, so the walks below them cross scales too.
+    spec, k_max, depths = case
+    scales = [gamma_pow(spec.params, spec.n * k) for k in range(2, k_max + 1)]
+    expected = tuple(reference_box_count(cover_at_depth(spec, depth), scale)
+                     for depth, scale in zip(depths, scales))
+    assert box_dimension(spec, k_max).box_counts == expected
+    for key_bits, max_runs in product((0, 1), (1, 2)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimate, "_KEY_BITS", key_bits)
+            patch.setattr(estimate, "_MAX_RUNS", max_runs)
+            assert box_dimension(spec, k_max).box_counts == expected, (key_bits, max_runs)
 
 
 @pytest.mark.parametrize("base, policy, indices, depth", [
@@ -226,5 +263,6 @@ def test_box_counts_exact_with_coarse_keys_and_small_tables(base, policy, indice
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(estimate, "_KEY_BITS", key_bits)
                 patch.setattr(estimate, "_MAX_RUNS", max_runs)
-                count = _count_boxes(spec, depth, (int(scale.c0), int(scale.c1)), 1)
+                [count] = _count_boxes(spec, depth, (int(scale.c0), int(scale.c1)), 1,
+                                       [(0, depth)])
             assert count == expected, (scale, key_bits, max_runs)

@@ -469,3 +469,49 @@ def test_tile_start_is_the_fraction_element(spec):
         start = iv.start
         assert start == QuadElement(Fraction(iv.u, iv.den), Fraction(iv.v, iv.den), spec.params)
         assert _lowest_terms(start) and float(start) == to_double(spec.params, iv.u, iv.v, iv.den)
+
+
+def _rounded_by_mpmath(x, bits):
+    """x rounded to `bits` bits by mpmath's normaliser: from_man_exp of 2*floor(|x|*2^s)
+    plus a sticky bit, the floor of bits + 2 bits or more read from an isqrt bracket
+    n < |x|*m < n + 1 narrow enough that both ends give it (|x|*m = n when exact)."""
+    libmp = mpmath.libmp
+    if x.sign() == 0:
+        return libmp.fzero
+    u, v, den = x.numerators()
+    g, k = x.params.rational_root, bits + 8
+    while True:
+        if g is not None or v == 0:
+            n, m, width = abs(u + v * (g or 0)), den, 0
+        else:
+            lo, m = quadfield._bracket(x.params, u, v, den, k)
+            n, width = (lo if lo >= 0 else -lo - 1), 1
+        s = max(0, bits + 3 + m.bit_length() - n.bit_length())
+        quo, rem = divmod(n << s, m)
+        if width == 0 or quo == ((n + 1) << s) // m:
+            break
+        k *= 2
+    man = 2 * quo + (width or rem != 0)
+    return libmp.from_man_exp(-man if x.sign() < 0 else man, -s - 1, bits, libmp.round_nearest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_elements(), st.sampled_from([53, 128, 300]))
+def test_to_mpf_gives_normalised_tuples(x, bits):
+    # to_mpf rounds in integers and builds the tuple itself: it must be the one mpmath's
+    # normaliser gives, an odd mantissa of at most `bits` bits, or mpmath's zero
+    sign, man, exp, bc = x.to_mpf(bits)._mpf_
+    assert man % 2 == 1 or (sign, man, exp, bc) == mpmath.libmp.fzero
+    assert bc == man.bit_length() <= bits
+    assert (sign, man, exp, bc) == _rounded_by_mpmath(x, bits)
+
+
+def test_to_mpf_carry_and_zero():
+    # just below 2^60, rounding to 53 bits carries into a new bit: mantissa 1, exponent 60
+    for x in (qe(2**60 - 1, 0, GOLDEN), qe(2**60, 0, GOLDEN) - gamma_pow(GOLDEN, -100)):
+        assert x.to_mpf(53)._mpf_ == (0, 1, 60, 1) == _rounded_by_mpmath(x, 53)
+        assert (-x).to_mpf(53)._mpf_ == (1, 1, 60, 1) == _rounded_by_mpmath(-x, 53)
+    for params in (GOLDEN, COPPER):
+        for bits in (53, 128, 300):
+            zero = params.zero().to_mpf(bits)
+            assert zero._mpf_ == mpmath.libmp.fzero and zero == 0
