@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: word, tiling, dim, cover, estimate, render, table. Data goes to
-stdout (or --out), diagnostics to stderr. Exit codes: 0 success, 2 validation
-error, 3 enumeration cap exceeded, 141 stdout closed by its reader. A
+Subcommands: word, tiling, dim, cover, estimate, render, table. COMMANDS is the one
+place where a command or a flag is declared: its handler, help line and flag rows.
+Data goes to stdout (or --out), diagnostics to stderr. Exit codes: 0 success, 2
+validation error, 3 enumeration cap exceeded, 141 stdout closed by its reader. A
 key=value config file can preset any flag of the chosen subcommand; explicit
 flags win. METALLIC_CAP overrides the default enumeration cap.
 
@@ -149,142 +150,6 @@ def _make_spec(args: argparse.Namespace) -> FractalSpec:
     )
 
 
-def _add_mean_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=int, default=1, help="long-tile multiplicity (default 1)")
-    sub.add_argument("--q", type=int, default=1, help="short-tile multiplicity (default 1)")
-
-
-def _add_removal_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--remove-long", type=int, default=0, dest="remove_long",
-                     help="long tiles removed per level")
-    sub.add_argument("--remove-short", type=int, default=0, dest="remove_short",
-                     help="short tiles removed per level")
-    sub.add_argument("--policy", choices=POLICIES, default=POLICIES[0],
-                     help="which tiles to remove")
-    sub.add_argument("--indices", default=None,
-                     help="comma list of word positions to remove (explicit policy)")
-
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", default=None, help="output file (default stdout)")
-    sub.add_argument("--bits", type=int, default=DEFAULT_BITS,
-                     help="fraction bits of the root bracket, >= 53; printed doubles "
-                          "are correctly rounded at any value")
-    sub.add_argument("--cap", type=int, default=None,
-                     help="enumeration cap (default METALLIC_CAP or 10^7)")
-    sub.add_argument("--config", default=None,
-                     help="key=value file of flag defaults")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    # argparse makes a formatter per add_argument; each would read the terminal size
-    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser = argparse.ArgumentParser(
-        prog="metallic",
-        description="Metallic-means tilings of [0,1], removal fractals, and their dimensions",
-        formatter_class=fmt,
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    add_parser = partial(subs.add_parser, formatter_class=fmt)
-
-    w = add_parser("word", help="print the step-n substitution word")
-    _add_mean_flags(w)
-    w.add_argument("--n", type=int, required=True, help="substitution step")
-    w.add_argument("--max-letters", type=int, default=10000, dest="max_letters",
-                   help="print at most this many letters")
-    _add_common_flags(w)
-
-    t = add_parser("tiling", help="print the step-n tiling with exact endpoints")
-    _add_mean_flags(t)
-    t.add_argument("--n", type=int, required=True, help="substitution step")
-    t.add_argument("--format", choices=("text", "csv"), default="text")
-    _add_common_flags(t)
-
-    d = add_parser("dim", help="analytic dimension report (JSON)")
-    _add_mean_flags(d)
-    d.add_argument("--n", type=int, default=None, help="substitution step")
-    _add_removal_flags(d)
-    d.add_argument("--m", type=int, default=None,
-                   help="generic self-similar mode: number of copies")
-    d.add_argument("--r", type=float, default=None,
-                   help="generic self-similar mode: scale factor")
-    _add_common_flags(d)
-
-    c = add_parser("cover", help="stream the depth-k cover (CSV or JSON)")
-    _add_mean_flags(c)
-    c.add_argument("--n", type=int, required=True, help="substitution step")
-    _add_removal_flags(c)
-    c.add_argument("--depth", type=int, required=True, help="construction depth k")
-    c.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common_flags(c)
-
-    e = add_parser("estimate", help="numerical dimension estimates vs analytic (JSON)")
-    _add_mean_flags(e)
-    e.add_argument("--n", type=int, required=True, help="substitution step")
-    _add_removal_flags(e)
-    e.add_argument("--depth", type=int, default=4, help="cover depth for the sum estimator")
-    _add_common_flags(e)
-
-    r = add_parser("render", help="emit an SVG or TikZ figure")
-    r.add_argument("--mode", choices=("construction", "stack"), default="construction")
-    _add_mean_flags(r)
-    r.add_argument("--n", type=int, required=True,
-                   help="substitution step (stack mode: top row)")
-    _add_removal_flags(r)
-    r.add_argument("--depth", type=int, default=3, help="construction rows to draw")
-    r.add_argument("--format", choices=("svg", "tikz"), default="svg")
-    _add_common_flags(r)
-
-    tb = add_parser("table", help="table of the named metallic means")
-    tb.add_argument("--extra", action="append", default=[],
-                    metavar="P,Q", help="append a (p,q) row; repeatable")
-    _add_common_flags(tb)
-
-    return parser
-
-
-def _apply_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Expand --config FILE into flags inserted before the user's own flags.
-
-    A parser holding only the flags every subcommand shares finds --config
-    under each spelling a subcommand accepts (--config FILE, --config=FILE,
-    abbreviations such as --conf), since it resolves prefixes among the same
-    option strings; the full parse then checks the whole command line. Keys
-    that are not exactly a flag of the subcommand are skipped, so one file
-    can serve several subcommands.
-    """
-    if not argv or argv[0].startswith("-"):
-        return argv  # no subcommand: argparse reports it
-    finder = argparse.ArgumentParser(prog=f"{parser.prog} {argv[0]}", usage=argparse.SUPPRESS,
-                                     add_help=False, exit_on_error=False,
-                                     formatter_class=parser.formatter_class)
-    _add_common_flags(finder)
-    try:
-        path = finder.parse_known_args(argv[1:])[0].config
-    except argparse.ArgumentError:
-        return argv  # e.g. --config with no file: argparse reports it
-    if path is None:
-        return argv
-    command, rest = argv[0], argv[1:]
-    subactions = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    if command not in subactions.choices:
-        return argv  # let argparse report the unknown command itself
-    known = subactions.choices[command]._option_string_actions
-    injected: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            flag = "--" + key.strip()
-            if flag in known:
-                injected.append(f"{flag}={value.strip()}")
-    return [command, *injected, *rest]
-
-
 def cmd_word(args: argparse.Namespace, out: io.TextIOBase) -> None:
     if args.max_letters < 0:
         raise ValidationError(f"--max-letters must be >= 0, got {args.max_letters}")
@@ -399,22 +264,125 @@ def cmd_table(args: argparse.Namespace, out: io.TextIOBase) -> None:
         out.write(f"{name:<10} {p:>3} {q:>3}  {symbol:<6} {value:.10f}\n")
 
 
-DISPATCH = {
-    "word": cmd_word,
-    "tiling": cmd_tiling,
-    "dim": cmd_dim,
-    "cover": cmd_cover,
-    "estimate": cmd_estimate,
-    "render": cmd_render,
-    "table": cmd_table,
+# Flag rows: an option string and its add_argument keywords.
+MEAN_FLAGS = (
+    ("--p", dict(type=int, default=1, help="long-tile multiplicity (default 1)")),
+    ("--q", dict(type=int, default=1, help="short-tile multiplicity (default 1)")),
+)
+STEP_FLAG = ("--n", dict(type=int, required=True, help="substitution step"))
+REMOVAL_FLAGS = (
+    ("--remove-long", dict(type=int, default=0, help="long tiles removed per level")),
+    ("--remove-short", dict(type=int, default=0, help="short tiles removed per level")),
+    ("--policy", dict(choices=POLICIES, default=POLICIES[0], help="which tiles to remove")),
+    ("--indices", dict(help="comma list of word positions to remove (explicit policy)")),
+)
+COMMON_FLAGS = (
+    ("--out", dict(help="output file (default stdout)")),
+    ("--bits", dict(type=int, default=DEFAULT_BITS,
+                    help="fraction bits of the root bracket, >= 53; printed doubles "
+                         "are correctly rounded at any value")),
+    ("--cap", dict(type=int, help="enumeration cap (default METALLIC_CAP or 10^7)")),
+    ("--config", dict(help="key=value file of flag defaults")),
+)
+
+# command: (handler, help line, flag rows in --help order)
+COMMANDS = {
+    "word": (cmd_word, "print the step-n substitution word", (
+        *MEAN_FLAGS, STEP_FLAG,
+        ("--max-letters", dict(type=int, default=10000, help="print at most this many letters")),
+        *COMMON_FLAGS)),
+    "tiling": (cmd_tiling, "print the step-n tiling with exact endpoints", (
+        *MEAN_FLAGS, STEP_FLAG,
+        ("--format", dict(choices=("text", "csv"), default="text")),
+        *COMMON_FLAGS)),
+    "dim": (cmd_dim, "analytic dimension report (JSON)", (
+        *MEAN_FLAGS,
+        ("--n", dict(type=int, help="substitution step")),
+        *REMOVAL_FLAGS,
+        ("--m", dict(type=int, help="generic self-similar mode: number of copies")),
+        ("--r", dict(type=float, help="generic self-similar mode: scale factor")),
+        *COMMON_FLAGS)),
+    "cover": (cmd_cover, "stream the depth-k cover (CSV or JSON)", (
+        *MEAN_FLAGS, STEP_FLAG, *REMOVAL_FLAGS,
+        ("--depth", dict(type=int, required=True, help="construction depth k")),
+        ("--format", dict(choices=("csv", "json"), default="csv")),
+        *COMMON_FLAGS)),
+    "estimate": (cmd_estimate, "numerical dimension estimates vs analytic (JSON)", (
+        *MEAN_FLAGS, STEP_FLAG, *REMOVAL_FLAGS,
+        ("--depth", dict(type=int, default=4, help="cover depth for the sum estimator")),
+        *COMMON_FLAGS)),
+    "render": (cmd_render, "emit an SVG or TikZ figure", (
+        ("--mode", dict(choices=("construction", "stack"), default="construction")),
+        *MEAN_FLAGS,
+        ("--n", dict(type=int, required=True, help="substitution step (stack mode: top row)")),
+        *REMOVAL_FLAGS,
+        ("--depth", dict(type=int, default=3, help="construction rows to draw")),
+        ("--format", dict(choices=("svg", "tikz"), default="svg")),
+        *COMMON_FLAGS)),
+    "table": (cmd_table, "table of the named metallic means", (
+        ("--extra", dict(action="append", default=[], metavar="P,Q",
+                         help="append a (p,q) row; repeatable")),
+        *COMMON_FLAGS)),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # argparse makes a formatter per add_argument; each would read the terminal size
+    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(
+        prog="metallic",
+        description="Metallic-means tilings of [0,1], removal fractals, and their dimensions",
+        formatter_class=fmt,
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_line, flags) in COMMANDS.items():
+        sub = subs.add_parser(command, help=help_line, formatter_class=fmt)
+        for flag, kwargs in flags:
+            sub.add_argument(flag, **kwargs)
+    return parser
+
+
+def _apply_config(argv: list[str]) -> list[str]:
+    """Expand --config FILE into flags inserted before the user's own flags.
+
+    A parser holding only the flags every subcommand shares finds --config
+    under each spelling a subcommand accepts (--config FILE, --config=FILE,
+    abbreviations such as --conf), since it resolves prefixes among the same
+    option strings; the full parse then checks the whole command line. Keys
+    that are not exactly a flag of the subcommand in COMMANDS (help included)
+    are skipped, so one file can serve several subcommands.
+    """
+    if not argv or argv[0].startswith("-"):
+        return argv  # no subcommand: argparse reports it
+    finder = argparse.ArgumentParser(prog=f"metallic {argv[0]}", usage=argparse.SUPPRESS,
+                                     add_help=False, exit_on_error=False)
+    for flag, kwargs in COMMON_FLAGS:
+        finder.add_argument(flag, **kwargs)
+    try:
+        path = finder.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:
+        return argv  # e.g. --config with no file: argparse reports it
+    if path is None or argv[0] not in COMMANDS:
+        return argv  # an unknown command is left for argparse to report
+    known = {flag for flag, _ in COMMANDS[argv[0]][2]}
+    injected: list[str] = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, value = line.partition("=")
+            flag = "--" + key.strip()
+            if flag in known:
+                injected.append(f"{flag}={value.strip()}")
+    return [argv[0], *injected, *argv[1:]]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv, parser)
+        argv = _apply_config(argv)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -431,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {setting}{exc}", file=sys.stderr)
         return 2
     sink = _OutFile(args.out) if args.out else sys.stdout
-    handler = DISPATCH[args.command]
+    handler = COMMANDS[args.command][0]
     # Word lengths and deep cover numerators can pass Python's int->str limit
     # (4300 digits); lift it while the command runs, after argv and --config are parsed.
     int_digits = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -30,7 +30,7 @@ from .errors import (
     Record,
     ValidationError,
 )
-from .limits import resolve_cap
+from .limits import format_count, resolve_cap
 from .quadfield import MetallicParams, QuadElement, gamma_pow
 from .substitution import tile_counts, word_at_step
 from .tiling import Tile, _inv_powers, start_numerators, tiling_at_step
@@ -205,7 +205,8 @@ def check_cover_cap(spec: FractalSpec, k: int, cap: int | None = None) -> None:
     """Raise CapExceeded when the depth-k cover has more intervals than the cap."""
     count, limit = IntervalCover(spec, k, None).count, resolve_cap(cap)
     if count > limit:
-        raise CapExceeded(f"depth-{k} cover has {count} intervals, above cap {limit}")
+        raise CapExceeded(
+            f"depth-{k} cover has {format_count(count)} intervals, above cap {limit}")
 
 
 def refine(cover: IntervalCover) -> IntervalCover:

@@ -1,6 +1,7 @@
 """Enumeration caps, precision defaults and the optional mpmath import."""
 
 import os
+from math import log10
 
 from .errors import ValidationError
 
@@ -20,6 +21,15 @@ def resolve_cap(explicit: int | None = None) -> int:
     if explicit < 0:
         raise ValidationError(f"cap must be >= 0, got {explicit}")
     return explicit
+
+
+def format_count(count: int) -> str:
+    """`count` for an error message: in full below 10^30, else as ~10^x.
+
+    A long count is never converted to a string whole, which past 4300 digits
+    Python refuses to do, and which would print a line of thousands of digits.
+    """
+    return str(count) if count < 10**30 else f"~10^{log10(count):.1f}"
 
 
 def check_bits(bits: int) -> None:

@@ -16,7 +16,7 @@ from itertools import repeat
 
 from .errors import CapExceeded, Record
 from .fractal import FractalSpec, _walk, cover_at_depth  # noqa: F401
-from .limits import RENDER_CAP
+from .limits import RENDER_CAP, format_count
 from .quadfield import MEAN_SYMBOLS, MetallicParams, to_double
 from .substitution import tile_counts, word_at_step
 from .tiling import _inv_powers, start_numerators, tiling_at_step  # noqa: F401
@@ -90,7 +90,8 @@ def render_tiling_stack(params: MetallicParams, n_max: int, plan: RenderPlan) ->
         raise ValueError("n_max must be >= 0")
     total = sum(tile_counts(params, n).total for n in range(n_max + 1))
     if total > RENDER_CAP:
-        raise CapExceeded(f"{total} tiles across rows, above render cap {RENDER_CAP}")
+        raise CapExceeded(
+            f"{format_count(total)} tiles across rows, above render cap {RENDER_CAP}")
     rows = [_tiling_row(params, n, f"step {n}") for n in range(n_max + 1)]
     return _emit(rows, plan, params)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import CapExceeded, Record
-from .limits import resolve_cap
+from .limits import format_count, resolve_cap
 from .quadfield import MetallicParams
 
 
@@ -48,7 +48,7 @@ def word_at_step(params: MetallicParams, n: int, cap: int | None = None) -> str:
     limit = resolve_cap(cap)
     length = word_length(params, n)
     if length > limit:
-        raise CapExceeded(f"|W_{n}| = {length} letters exceeds cap {limit}")
+        raise CapExceeded(f"|W_{n}| = {format_count(length)} letters exceeds cap {limit}")
     word = "b"
     for _ in range(n):
         word = substitute(word, params)

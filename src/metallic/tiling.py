@@ -18,7 +18,7 @@ from itertools import accumulate, repeat
 from operator import attrgetter
 
 from .errors import CapExceeded, Record
-from .limits import resolve_cap
+from .limits import format_count, resolve_cap
 from .quadfield import MetallicParams, QuadElement, _element, gamma_pow
 from .substitution import tile_counts, word_at_step
 
@@ -98,7 +98,7 @@ def tiling_at_step(params: MetallicParams, n: int, cap: int | None = None) -> Ti
     limit = resolve_cap(cap)
     count = tile_counts(params, n).total
     if count > limit:
-        raise CapExceeded(f"step-{n} tiling has {count} tiles, above cap {limit}")
+        raise CapExceeded(f"step-{n} tiling has {format_count(count)} tiles, above cap {limit}")
     word = word_at_step(params, n, cap=limit)
     lengths = _inv_powers(params, n)  # step 0 is "b", so lengths[-1] is never used
     us, vs = start_numerators(word[:-1], lengths[n - 1], lengths[n])

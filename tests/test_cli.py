@@ -365,9 +365,10 @@ def test_config_file_any_spelling(tmp_path, spelling):
 
 
 def test_config_keys_of_other_subcommands_skipped(tmp_path):
-    # dim's --m and --r must not reach word's --max-letters by abbreviation
+    # dim's --m and --r must not reach word's --max-letters by abbreviation; help
+    # names no flag of word either, so it is skipped rather than passed as --help=1
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n=4\nm=2\nr=3\ndepth=5\n")
+    cfg.write_text("n=4\nm=2\nr=3\ndepth=5\nhelp=1\n")
     assert run_cli("word", "--config", str(cfg)) == (0, "abaab\n")
 
 
@@ -422,6 +423,18 @@ def test_deep_estimate_reaches_the_box_fit_cap_fast():
     assert (result.returncode, result.stdout) == (3, "")
     assert result.stderr.startswith("error: depth-8000 cover has ")
     assert " intervals, above cap " in result.stderr and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["tiling", "--n", "30000"],
+    ["cover", "--n", "3", "--remove-long", "1", "--depth", "20000"],
+    ["render", "--mode", "stack", "--n", "1000"],
+])
+def test_cap_error_on_a_huge_count_is_one_short_line(argv):
+    result = subprocess.run([sys.executable, "-m", "metallic.cli", *argv], env=CHILD_ENV,
+                            capture_output=True, text=True, timeout=20)
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.count("\n") == 1 and len(result.stderr.encode()) < 200
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
@@ -623,7 +636,8 @@ def test_parser_reads_terminal_size_once(monkeypatch):
 
 
 @pytest.mark.parametrize("columns", ["60", "120"])
-@pytest.mark.parametrize("argv", [["--help"], ["cover", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"],
+                                  *([command, "--help"] for command in SUBCOMMAND_ARGV)])
 def test_help_matches_default_formatter(monkeypatch, columns, argv):
     monkeypatch.setenv("COLUMNS", columns)
 

@@ -188,6 +188,8 @@ def test_box_dimension_validation_and_cap():
         box_dimension(SPEC_301, 3)
     with pytest.raises(CapExceeded):
         box_dimension(SPEC_411, 8, cap=1000)
+    with pytest.raises(CapExceeded):
+        box_dimension(FractalSpec(GOLDEN, 3, 1, 0), 20000)
 
 
 @pytest.mark.parametrize("t", [-0.5, math.nan])

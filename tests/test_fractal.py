@@ -253,6 +253,8 @@ def test_explicit_index_validation():
 def test_cover_cap():
     with pytest.raises(CapExceeded):
         cover_at_depth(SPEC_411, 10, cap=100)
+    with pytest.raises(CapExceeded, match=r"\Adepth-20000 cover has ~10\^6020\.6 intervals"):
+        cover_at_depth(FractalSpec(GOLDEN, 3, 1, 0), 20000)
 
 
 def test_refine_respects_the_cap(monkeypatch):

@@ -108,6 +108,8 @@ def test_byte_stability():
 def test_render_cap():
     with pytest.raises(CapExceeded):
         render_tiling_stack(GOLDEN, 25, RenderPlan(fmt="svg"))
+    with pytest.raises(CapExceeded, match=r"\A~10\^209\.3 tiles across rows, above render cap"):
+        render_tiling_stack(GOLDEN, 1000, RenderPlan(fmt="svg"))
     with pytest.raises(CapExceeded):
         render_construction(SPEC_301, 20, RenderPlan(fmt="svg"))
 

@@ -51,6 +51,8 @@ def test_word_at_step_examples():
 def test_word_cap():
     with pytest.raises(CapExceeded):
         word_at_step(GOLDEN, 30, cap=100)
+    with pytest.raises(CapExceeded, match=r"\A\|W_30000\| = ~10\^6269\.5 letters exceeds cap"):
+        word_at_step(GOLDEN, 30000)
     # counts still fine above the cap
     assert word_length(GOLDEN, 30) == metallic_sequence(GOLDEN, 30) + metallic_sequence(GOLDEN, 29)
 

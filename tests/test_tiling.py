@@ -17,6 +17,7 @@ from metallic import (
     tiling_at_step,
     total_length,
 )
+from metallic.limits import format_count
 
 GOLDEN = MetallicParams(1, 1)
 SILVER = MetallicParams(2, 1)
@@ -116,8 +117,17 @@ def test_refinement_consistency(params):
 
 
 def test_cap_enforced():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"\Astep-25 tiling has 121393 tiles, above cap 1000\Z"):
         tiling_at_step(GOLDEN, 25, cap=1000)
+    # a count past Python's 4300-digit int->str limit is still a CapExceeded
+    with pytest.raises(CapExceeded, match=r"\Astep-30000 tiling has ~10\^6269\.5 tiles, above"):
+        tiling_at_step(GOLDEN, 30000)
+
+
+def test_format_count_in_full_below_10_to_the_30():
+    assert format_count(10**30 - 1) == "9" * 30
+    assert format_count(10**30) == "~10^30.0"
+    assert format_count(3 * 10**5000) == "~10^5000.5"
 
 
 def test_negative_step_rejected():
