@@ -33,7 +33,8 @@ _LAZY = {
     "fractal": ("CoverInterval", "FractalSpec", "IntervalCover", "cover_at_depth",
                 "cover_summary", "gaps", "iter_cover_intervals", "refine", "survivors"),
     "quadfield": ("MetallicParams", "QuadElement", "gamma_pow"),
-    "render": ("RenderPlan", "render_construction", "render_tiling_stack"),
+    "render": ("RenderPlan", "construction_lines", "render_construction", "render_tiling_stack",
+               "tiling_stack_lines"),
     "substitution": ("CountVector", "iter_word_at_step", "metallic_sequence", "substitute",
                      "tile_counts", "word_at_step", "word_length"),
     "tiling": ("Tile", "TileKind", "Tiling", "tiling_at_step", "total_length"),

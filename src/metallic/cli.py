@@ -10,12 +10,12 @@ flags win. METALLIC_CAP overrides the default enumeration cap.
 Tiling and cover rows are one format string each, filled from the integers of
 a start (u + v*gamma)/den: u/den and v/den in lowest terms and the correctly
 rounded double (`quadfield.to_double`); the length fields are formatted once
-per exponent. Rows are written ROWS_PER_WRITE at a time, one write per chunk,
-and --out is opened at the first write. No command loads mpmath: dim and
-estimate round their doubles correctly from integer logs, and --bits is the
-floor of the root bracket's fraction bits. A command loads only what it runs:
-estimate and render (and json, for dim and estimate) are imported by the
-commands that use them.
+per exponent. Rows, and render's lines (a segment's three lines count as one),
+are written ROWS_PER_WRITE at a time, one write per chunk, and --out is opened
+at the first write. No command loads mpmath: dim and estimate round their
+doubles correctly from integer logs, and --bits is the floor of the root
+bracket's fraction bits. A command loads only what it runs: estimate and render
+(and json, for dim and estimate) are imported by the commands that use them.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ ROWS_PER_WRITE = 512  # rows joined into one write, at most ~128 KB
 
 
 # Bound in this module, and importing on first call, because bench/spans.py traces
-# these names here; ROADMAP item H (a stats channel) retires them.
+# these names here; ROADMAP item H (a stats channel) retires them. cmd_render streams
+# `render.*_lines` instead, so the render pair only keeps the tracer installable.
 def empirical_dimension(*args, **kwargs):
     from .estimate import empirical_dimension
     return empirical_dimension(*args, **kwargs)
@@ -244,14 +245,13 @@ def cmd_estimate(args: argparse.Namespace, out: io.TextIOBase) -> None:
 
 
 def cmd_render(args: argparse.Namespace, out: io.TextIOBase) -> None:
-    from .render import RenderPlan
+    from .render import RenderPlan, construction_lines, tiling_stack_lines
     plan = RenderPlan(fmt=args.format)
     if args.mode == "stack":
-        params = MetallicParams(args.p, args.q)
-        out.write(render_tiling_stack(params, args.n, plan))
-        return
-    spec = _make_spec(args)
-    out.write(render_construction(spec, args.depth, plan))
+        lines = tiling_stack_lines(MetallicParams(args.p, args.q), args.n, plan)
+    else:
+        lines = construction_lines(_make_spec(args), args.depth, plan)
+    _write_rows(out, lines)
 
 
 def cmd_table(args: argparse.Namespace, out: io.TextIOBase) -> None:

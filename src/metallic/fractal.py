@@ -55,6 +55,9 @@ class FractalSpec(Record):
             raise InvalidRemovalCount(f"s={s} short removals out of range 0..{counts.N_b}")
         if counts.total - l - s < 1:
             raise EmptyFractal("removal leaves no surviving tile")
+        # (N_a - l, N_b - s): long and short tiles kept per level. Not a field, so
+        # equality, hash, repr and pickling see only the spec's own values.
+        self.__dict__["survivor_counts"] = (counts.N_a - l, counts.N_b - s)
         if policy == "explicit":
             if indices is None:
                 raise PolicyIndexMismatch("explicit policy requires removal indices")
@@ -77,12 +80,6 @@ class FractalSpec(Record):
                 f"indices remove {removed_long} long / {removed_short} short tiles, "
                 f"spec says {self.l} / {self.s}"
             )
-
-    @property
-    def survivor_counts(self) -> tuple[int, int]:
-        """(N_a - l, N_b - s): long and short tiles kept per level."""
-        counts = tile_counts(self.params, self.n)
-        return counts.N_a - self.l, counts.N_b - self.s
 
 
 def removed_positions(spec: FractalSpec) -> frozenset[int]:

@@ -4,21 +4,24 @@ Rows of labeled segments, in the style of the usual inflation-rule pictures:
 one row per step (or per removal stage), tick marks at exact endpoints, tile
 letters above and length labels below. Segment ends come straight from the
 exact integer numerators of `tiling.start_numerators` or the cover walker in
-`fractal`. One layout pass puts every
-row in figure coordinates and declutters its labels; the SVG and TikZ writers
-only serialise that layout. Output is plain text assembled deterministically,
-so identical inputs give byte-identical documents.
+`fractal`. A figure is a stream of lines: `tiling_stack_lines` and
+`construction_lines` check every cap before they hand the stream back, then
+walk, lay out and emit one row at a time, so one row's walk and kept labels
+are held, never the document. One row loop fills either format's line
+templates. Output is plain text assembled deterministically, so identical
+inputs give byte-identical documents.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from collections.abc import Iterator
+from itertools import accumulate, chain, islice, pairwise, repeat
 
 from .errors import CapExceeded, Record
 from .fractal import FractalSpec, _walk, cover_at_depth  # noqa: F401
 from .limits import RENDER_CAP, format_count
 from .quadfield import MEAN_SYMBOLS, MetallicParams, to_double
-from .substitution import tile_counts, word_at_step
+from .substitution import word_at_step
 from .tiling import _inv_powers, start_numerators, tiling_at_step  # noqa: F401
 
 # Rows are laid out from integer numerators, not from tiling_at_step or
@@ -35,19 +38,48 @@ TICK = 6.0
 MARGIN = 20.0
 MIN_LABEL_GAP = 12.0  # a label closer than this to the last one kept is dropped
 
-# One row: its label and (start, end, letter, length exponent) per segment.
-Row = tuple[str, list[tuple[float, float, str, int]]]
-# A row laid out: its label, the x of each segment's ends (ticks go at both),
-# and the (x, letter, length exponent) labels kept after decluttering; the
-# letter goes above and the length below the segment's midpoint x.
-Layout = tuple[str, list[tuple[float, float]], list[tuple[float, str, int]]]
+# Per format: row i's y, the y's its lines take at offsets from it (lo and hi are the
+# tick ends) and the line templates. A row fills {label}, {y} and the offset names; then
+# a segment's three lines (it and a tick at each end) take its end x's as {0} and {1},
+# and a text line takes {x} and {text}: a letter, or a length 1/symbol^e from `power`.
+FORMATS = {
+    "svg": dict(
+        row_y=lambda i: MARGIN + ROW_HEIGHT * (i + 0.5), symbols={}, power="1/{}^{}",
+        at={"lo": -TICK / 2, "hi": TICK / 2, "label_y": -4, "letter_y": -TICK / 2 - 3,
+            "length_y": TICK / 2 + 11},
+        head='<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" '
+             'width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n',
+        row=f'<g class="row" data-label="{{label}}">\n<text x="{MARGIN / 4:.3f}" '
+            'y="{label_y}" font-size="9">{label}</text>\n',
+        seg='<line class="seg" x1="{x0}" y1="{y}" x2="{x1}" y2="{y}" stroke="black"/>\n'
+            '<line class="tick" x1="{x0}" y1="{lo}" x2="{x0}" y2="{hi}" stroke="black"/>\n'
+            '<line class="tick" x1="{x1}" y1="{lo}" x2="{x1}" y2="{hi}" stroke="black"/>\n',
+        letter='<text x="{x:.3f}" y="{letter_y}" font-size="10" '
+               'text-anchor="middle">{text}</text>\n',
+        length='<text x="{x:.3f}" y="{length_y}" font-size="8" '
+               'text-anchor="middle">{text}</text>\n',
+        row_end="</g>\n", tail="</svg>\n"),
+    "tikz": dict(
+        row_y=lambda i: -ROW_HEIGHT * i, symbols=TEX_SYMBOLS, power="1/{}^{{{}}}",
+        at={"lo": -TICK / 2, "hi": TICK / 2},
+        head="\\begin{{tikzpicture}}[x=1pt,y=1pt]\n",
+        row=f"\\node[anchor=east] at ({MARGIN - 6:.3f},{{y}}) {{{{{{label}}}}}};\n",
+        seg="\\draw ({x0},{y}) -- ({x1},{y});\n\\draw ({x0},{lo}) -- ({x0},{hi});\n"
+            "\\draw ({x1},{lo}) -- ({x1},{hi});\n",
+        letter="\\node[above] at ({x:.3f},{hi}) {{${text}$}};\n",
+        length="\\node[below] at ({x:.3f},{lo}) {{${text}$}};\n",
+        row_end="", tail="\\end{tikzpicture}\n"),
+}
+
+# One row: its label and its segments as (start, end, letter, length exponent), streamed.
+Row = tuple[str, Iterator[tuple[float, float, str, int]]]
 
 
 class RenderPlan(Record):
     _fields = ("fmt",)
 
     def __init__(self, fmt: str = "svg") -> None:
-        if fmt not in ("svg", "tikz"):
+        if fmt not in FORMATS:
             raise ValueError(f"format must be svg or tikz, got {fmt!r}")
         self.__dict__.update(fmt=fmt)
 
@@ -59,24 +91,19 @@ def _tiling_row(params: MetallicParams, n: int, label: str) -> Row:
     word = word_at_step(params, n, cap=RENDER_CAP)
     lengths = _inv_powers(params, n)  # step 0 is "b", so lengths[-1] is never used
     us, vs = start_numerators(word, lengths[n - 1], lengths[n])
-    den = params.q**n
     # tile i runs from boundary i to boundary i + 1; the last boundary is 1
-    xs = list(map(to_double, repeat(params), us, vs, repeat(den)))
+    ends = pairwise(map(to_double, repeat(params), us, vs, repeat(params.q**n)))
     exponents = {"a": n - 1, "b": n}
-    return label, [(x0, x1, letter, exponents[letter])
-                   for letter, x0, x1 in zip(word, xs, xs[1:])]
+    return label, ((x0, x1, letter, exponents[letter]) for letter, (x0, x1) in zip(word, ends))
 
 
 def _cover_row(spec: FractalSpec, k: int, label: str) -> Row:
     params = spec.params
     den = params.q ** (spec.n * k)
     lengths = _inv_powers(params, spec.n * k)  # numerators of gamma^-e over den
-    segs = []
-    for u, v, e, path in _walk(spec, k):
-        du, dv = lengths[e]
-        segs.append((to_double(params, u, v, den), to_double(params, u + du, v + dv, den),
-                     path[-1], e))
-    return label, segs
+    return label, ((to_double(params, u, v, den),
+                    to_double(params, u + lengths[e][0], v + lengths[e][1], den), path[-1], e)
+                   for u, v, e, path in _walk(spec, k))
 
 
 def _ordinal(k: int) -> str:
@@ -84,107 +111,79 @@ def _ordinal(k: int) -> str:
     return f"{k}{suffix}"
 
 
-def render_tiling_stack(params: MetallicParams, n_max: int, plan: RenderPlan) -> str:
-    """One row per step 0..n_max of the substitution tiling."""
+def _tile_totals(params: MetallicParams) -> Iterator[int]:
+    """|W_0|, |W_1|, ...: the tiles of each step, by the recurrence of `tile_counts`."""
+    na, nb = 0, 1
+    while True:
+        yield na + nb
+        na, nb = params.p * na + nb, params.q * na
+
+
+def tiling_stack_lines(params: MetallicParams, n_max: int, plan: RenderPlan) -> Iterator[str]:
+    """The lines of `render_tiling_stack`, streamed a row at a time once the cap is checked."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    total = sum(tile_counts(params, n).total for n in range(n_max + 1))
-    if total > RENDER_CAP:
+    # `any` stops at the first running total past the cap
+    if any(total > RENDER_CAP for total in accumulate(islice(_tile_totals(params), n_max + 1))):
+        total = sum(islice(_tile_totals(params), n_max + 1))  # exact, for the message only
         raise CapExceeded(
             f"{format_count(total)} tiles across rows, above render cap {RENDER_CAP}")
-    rows = [_tiling_row(params, n, f"step {n}") for n in range(n_max + 1)]
-    return _emit(rows, plan, params)
+    rows = (_tiling_row(params, n, f"step {n}") for n in range(n_max + 1))
+    return _emit(rows, n_max + 1, plan, params)
+
+
+def construction_lines(spec: FractalSpec, k_max: int, plan: RenderPlan) -> Iterator[str]:
+    """The lines of `render_construction`, streamed a row at a time once the caps are checked.
+
+    The cover rows together may draw RENDER_CAP segments: N'^1 + ... + N'^k_max, where
+    N' tiles survive each level.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    kept = sum(spec.survivor_counts)
+    if any(total > RENDER_CAP for total in accumulate(kept**k for k in range(1, k_max + 1))):
+        raise CapExceeded(
+            f"cover rows of depth 1..{k_max} draw more than render cap {RENDER_CAP} segments")
+    tiling = _tiling_row(spec.params, spec.n, "tiling")  # checks the word cap
+    covers = (_cover_row(spec, k, f"{_ordinal(k)} removal") for k in range(1, k_max + 1))
+    return _emit(chain([tiling], covers), k_max + 1, plan, spec.params)
+
+
+def render_tiling_stack(params: MetallicParams, n_max: int, plan: RenderPlan) -> str:
+    """One row per step 0..n_max of the substitution tiling."""
+    return "".join(tiling_stack_lines(params, n_max, plan))
 
 
 def render_construction(spec: FractalSpec, k_max: int, plan: RenderPlan) -> str:
     """The step-n tiling followed by the depth 1..k_max covers."""
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    na, nb = spec.survivor_counts
-    if (na + nb) ** k_max > RENDER_CAP:
-        raise CapExceeded(f"depth-{k_max} cover is above render cap {RENDER_CAP}")
-    rows = [_tiling_row(spec.params, spec.n, "tiling")]
-    for k in range(1, k_max + 1):
-        rows.append(_cover_row(spec, k, f"{_ordinal(k)} removal"))
-    return _emit(rows, plan, spec.params)
+    return "".join(construction_lines(spec, k_max, plan))
 
 
-def _layout(rows: list[Row], plan: RenderPlan) -> list[Layout]:
-    """Each row in figure x coordinates, with its labels decluttered once."""
-    out = []
-    for label, segs in rows:
-        ends, labels = [], []
-        for u0, u1, letter, exponent in segs:
-            x0, x1 = plan.x(u0), plan.x(u1)
-            ends.append((x0, x1))
+def _emit(rows: Iterator[Row], count: int, plan: RenderPlan,
+          params: MetallicParams) -> Iterator[str]:
+    """The document of `count` rows: per row, its segments' lines as each is laid out, then
+    the letter and length labels that decluttering kept."""
+    fmt, span = FORMATS[plan.fmt], WIDTH - 2 * MARGIN  # RenderPlan.x, inlined per segment
+    symbol = MEAN_SYMBOLS.get((params.p, params.q), "γ")
+    symbol = fmt["symbols"].get(symbol, symbol)
+    yield fmt["head"].format(w=f"{WIDTH:.3f}", h=f"{ROW_HEIGHT * count + 2 * MARGIN:.3f}")
+    for i, (label, segments) in enumerate(rows):
+        y = fmt["row_y"](i)
+        at = {name: f"{y + offset:.3f}" for name, offset in fmt["at"].items()}
+        at["y"] = f"{y:.3f}"  # not y + 0.0, which turns TikZ's first -0.000 into 0.000
+        yield fmt["row"].format(label=label, **at)
+        segment = fmt["seg"].format(x0="{0}", x1="{1}", **at)
+        labels = []
+        for u0, u1, letter, exponent in segments:
+            x0, x1 = MARGIN + span * u0, MARGIN + span * u1
+            yield segment.format(f"{x0:.3f}", f"{x1:.3f}")
             mid = (x0 + x1) / 2
             if not labels or mid - labels[-1][0] >= MIN_LABEL_GAP:
                 labels.append((mid, letter, exponent))
-        out.append((label, ends, labels))
-    return out
-
-
-def _emit(rows: list[Row], plan: RenderPlan, params: MetallicParams) -> str:
-    symbol = MEAN_SYMBOLS.get((params.p, params.q), "γ")
-    layout = _layout(rows, plan)
-    if plan.fmt == "svg":
-        return _emit_svg(layout, symbol)
-    return _emit_tikz(layout, TEX_SYMBOLS[symbol])
-
-
-def _f(v: float) -> str:
-    return f"{v:.3f}"
-
-
-def _emit_svg(rows: list[Layout], symbol: str) -> str:
-    height = ROW_HEIGHT * len(rows) + 2 * MARGIN
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(WIDTH)}" '
-        f'height="{_f(height)}" viewBox="0 0 {_f(WIDTH)} {_f(height)}">',
-    ]
-    half = TICK / 2
-    for i, (label, segments, labels) in enumerate(rows):
-        y = MARGIN + ROW_HEIGHT * (i + 0.5)
-        fy, top, bottom = _f(y), _f(y - half), _f(y + half)
-        letter_y, length_y = _f(y - half - 3), _f(y + half + 11)
-        out.append(f'<g class="row" data-label="{label}">')
-        out.append(f'<text x="{_f(MARGIN / 4)}" y="{_f(y - 4)}" font-size="9">{label}</text>')
-        for x0, x1 in segments:
-            f0, f1 = _f(x0), _f(x1)
-            out.append(f'<line class="seg" x1="{f0}" y1="{fy}" x2="{f1}" y2="{fy}" '
-                       'stroke="black"/>')
-            for ft in (f0, f1):
-                out.append(f'<line class="tick" x1="{ft}" y1="{top}" x2="{ft}" y2="{bottom}" '
-                           'stroke="black"/>')
-        below = [(x, f"1/{symbol}^{e}" if e else "1") for x, _, e in labels]
         for x, letter, _ in labels:
-            out.append(f'<text x="{_f(x)}" y="{letter_y}" font-size="10" '
-                       f'text-anchor="middle">{letter}</text>')
-        for x, text in [*below, (MARGIN, "0"), (WIDTH - MARGIN, "1")]:
-            out.append(f'<text x="{_f(x)}" y="{length_y}" font-size="8" '
-                       f'text-anchor="middle">{text}</text>')
-        out.append("</g>")
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
-
-
-def _emit_tikz(rows: list[Layout], symbol: str) -> str:
-    out = [r"\begin{tikzpicture}[x=1pt,y=1pt]"]
-    half = TICK / 2
-    for i, (label, segments, labels) in enumerate(rows):
-        y = -ROW_HEIGHT * i
-        fy, bottom, top = _f(y), _f(y - half), _f(y + half)
-        out.append(rf"\node[anchor=east] at ({_f(MARGIN - 6)},{fy}) {{{label}}};")
-        for x0, x1 in segments:
-            f0, f1 = _f(x0), _f(x1)
-            out.append(rf"\draw ({f0},{fy}) -- ({f1},{fy});")
-            out.append(rf"\draw ({f0},{bottom}) -- ({f0},{top});")
-            out.append(rf"\draw ({f1},{bottom}) -- ({f1},{top});")
-        below = [(x, rf"$1/{symbol}^{{{e}}}$" if e else "$1$") for x, _, e in labels]
-        for x, letter, _ in labels:
-            out.append(rf"\node[above] at ({_f(x)},{top}) {{${letter}$}};")
-        for x, text in [*below, (MARGIN, "$0$"), (WIDTH - MARGIN, "$1$")]:
-            out.append(rf"\node[below] at ({_f(x)},{bottom}) {{{text}}};")
-    out.append(r"\end{tikzpicture}")
-    return "\n".join(out) + "\n"
+            yield fmt["letter"].format(x=x, text=letter, **at)
+        lengths = [(x, fmt["power"].format(symbol, e) if e else "1") for x, _, e in labels]
+        for x, text in [*lengths, (MARGIN, "0"), (WIDTH - MARGIN, "1")]:
+            yield fmt["length"].format(x=x, text=text, **at)
+        yield fmt["row_end"]
+    yield fmt["tail"]

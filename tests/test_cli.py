@@ -248,6 +248,18 @@ def test_rejected_command_leaves_out_file(argv, tmp_path, capsys):
     assert keep.read_text() == run_cli(*SUBCOMMAND_ARGV[argv[0]])[1] != "precious\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["render", "--mode", "stack", "--n", "18"],
+    ["render", "--n", "4", "--remove-long", "1", "--remove-short", "1", "--depth", "9"],
+    ["render", "--n", "20", "--remove-long", "1", "--depth", "0"],  # the tiling row's word
+])
+def test_rejected_render_creates_no_out_file(argv, tmp_path, capsys):
+    target = tmp_path / "figure.svg"
+    assert main([*argv, "--out", str(target)]) == 3
+    assert not target.exists()
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 @pytest.mark.parametrize("r", ["nan", "inf", "-inf"])
 def test_non_finite_scale_factor_rejected(r, capsys):
     with pytest.raises(ValueError, match="scale factor"):
@@ -429,6 +441,10 @@ def test_deep_estimate_reaches_the_box_fit_cap_fast():
     ["tiling", "--n", "30000"],
     ["cover", "--n", "3", "--remove-long", "1", "--depth", "20000"],
     ["render", "--mode", "stack", "--n", "1000"],
+    # each cap is checked before any row is laid out, by sums that stop past the cap
+    ["render", "--mode", "stack", "--n", "20000"],
+    ["render", "--n", "4", "--remove-long", "1", "--remove-short", "1", "--depth", "100000000"],
+    ["render", "--n", "2", "--remove-long", "1", "--depth", "20000"],  # one survivor per level
 ])
 def test_cap_error_on_a_huge_count_is_one_short_line(argv):
     result = subprocess.run([sys.executable, "-m", "metallic.cli", *argv], env=CHILD_ENV,

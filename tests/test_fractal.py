@@ -1,5 +1,6 @@
 """Removal fractals: survivors, refinement, covers, gaps."""
 
+import pickle
 from collections import Counter
 
 import pytest
@@ -192,6 +193,16 @@ def test_deep_single_survivor_cover_streams():
     (iv,) = iter_cover_intervals(spec, 3000)
     assert iv.length_exponent == 6000 and iv.kind_path == "b" * 3000
     assert (iv.start + gamma_pow(GOLDEN, -6000) - 1).sign() == 0
+
+
+@pytest.mark.parametrize("spec", TEST_SPECS)
+def test_survivor_counts_are_held_not_recounted(spec, monkeypatch):
+    counts = tile_counts(spec.params, spec.n)
+    clone = pickle.loads(pickle.dumps(spec))
+    monkeypatch.setattr("metallic.fractal.tile_counts", None)  # a recount would raise
+    assert spec.survivor_counts == clone.survivor_counts == (counts.N_a - spec.l,
+                                                             counts.N_b - spec.s)
+    assert "survivor_counts" not in repr(spec)
 
 
 def test_gaps_301_single_middle_gap():

@@ -1,6 +1,9 @@
-"""Rendered figures: structure, well-formedness, byte stability."""
+"""Rendered figures: structure, well-formedness, byte stability, streaming."""
 
+import io
+import tracemalloc
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -9,13 +12,21 @@ from metallic import (
     FractalSpec,
     MetallicParams,
     RenderPlan,
+    construction_lines,
     render_construction,
     render_tiling_stack,
+    tiling_stack_lines,
 )
+from metallic.cli import main
 
 GOLDEN = MetallicParams(1, 1)
 SILVER = MetallicParams(2, 1)
 SPEC_301 = FractalSpec(GOLDEN, 3, 0, 1)
+SPEC_411 = FractalSpec(GOLDEN, 4, 1, 1)
+SPEC_21210 = FractalSpec(SILVER, 2, 1, 0)
+SPEC_1210 = FractalSpec(MetallicParams(1, 2), 3, 1, 0)
+SPEC_3211_EXPLICIT = FractalSpec(MetallicParams(3, 1), 2, 1, 1, policy="explicit",
+                                 indices=(1, 3))
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -117,3 +128,83 @@ def test_render_cap():
 def test_bad_format_rejected():
     with pytest.raises(ValueError):
         RenderPlan(fmt="pdf")
+
+
+def _spec_args(spec):
+    args = ["--p", str(spec.params.p), "--q", str(spec.params.q), "--n", str(spec.n),
+            "--remove-long", str(spec.l), "--remove-short", str(spec.s), "--policy", spec.policy]
+    return args if spec.indices is None else [*args, "--indices", ",".join(map(str, spec.indices))]
+
+
+def _cli(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+# the deepest construction whose cover rows draw at most RENDER_CAP segments together:
+# N'^1 + ... + N'^top, with N' = 3, 2, 4 and 2 survivors per level
+@pytest.mark.parametrize("spec, top", [(SPEC_411, 8), (SPEC_21210, 12), (SPEC_1210, 6),
+                                       (SPEC_3211_EXPLICIT, 12)])
+@pytest.mark.parametrize("fmt", ["svg", "tikz"])
+def test_construction_lines_join_to_the_document_the_cli_prints(spec, top, fmt):
+    plan = RenderPlan(fmt=fmt)
+    argv = ["render", *_spec_args(spec), "--format", fmt, "--depth"]
+    for k in (0, 1, top):
+        doc = "".join(construction_lines(spec, k, plan))
+        assert doc == render_construction(spec, k, plan)
+        assert _cli([*argv, str(k)]) == (0, doc)
+    with pytest.raises(CapExceeded, match=rf"\Acover rows of depth 1\.\.{top + 1} draw more"):
+        construction_lines(spec, top + 1, plan)  # raised before a line is handed out
+    assert _cli([*argv, str(top + 1)]) == (3, "")
+
+
+# the highest step whose stack has at most RENDER_CAP tiles across its rows
+@pytest.mark.parametrize("params, top", [(GOLDEN, 17), (SILVER, 10), (MetallicParams(1, 2), 12)])
+@pytest.mark.parametrize("fmt", ["svg", "tikz"])
+def test_tiling_stack_lines_join_to_the_document_the_cli_prints(params, top, fmt):
+    plan = RenderPlan(fmt=fmt)
+    argv = ["render", "--mode", "stack", "--p", str(params.p), "--q", str(params.q),
+            "--format", fmt, "--n"]
+    for n in (0, 1, top):
+        doc = "".join(tiling_stack_lines(params, n, plan))
+        assert doc == render_tiling_stack(params, n, plan)
+        assert _cli([*argv, str(n)]) == (0, doc)
+    with pytest.raises(CapExceeded, match=r" tiles across rows, above render cap 10000\Z"):
+        tiling_stack_lines(params, top + 1, plan)
+    assert _cli([*argv, str(top + 1)]) == (3, "")
+
+
+def test_render_row_word_cap_is_checked_before_any_line():
+    with pytest.raises(CapExceeded, match=r"\A\|W_20\| = 10946 letters exceeds cap 10000\Z"):
+        construction_lines(FractalSpec(GOLDEN, 20, 1, 0), 0, RenderPlan())
+
+
+class _Discard:
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_cli_render_streams_in_bounded_memory():
+    # near RENDER_CAP: 9840 cover segments, a 2.6 MB document, which built whole
+    # peaked at 16.8 MB of Python allocations
+    argv = ["render", *_spec_args(SPEC_411), "--depth", "8"]
+    expected = len(render_construction(SPEC_411, 8, RenderPlan()))
+    sink = _Discard()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == expected
+    assert peak < 4_000_000
