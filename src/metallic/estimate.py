@@ -233,9 +233,9 @@ def box_dimension(spec: FractalSpec, k_max: int, cap: int | None = None,
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
     scales = range(2, k_max + 1)
-    # the shallowest covers whose widest interval is at most gamma^(-n*k)
+    # the shallowest covers whose widest interval is at most gamma^(-n*k), the deepest first
+    check_cover_cap(spec, math.ceil(spec.n * k_max / (spec.n - 1)), cap)
     depths = tuple(math.ceil(spec.n * k / (spec.n - 1)) for k in scales)
-    check_cover_cap(spec, depths[-1], cap)
     # N(gamma^-nk): the cover rooted at gamma^-(n*(k_max - k)) on a table times gamma^(n*k_max)
     top = gamma_pow(spec.params, spec.n * k_max)
     roots = [(spec.n * (k_max - k), depth) for k, depth in zip(scales, depths)]

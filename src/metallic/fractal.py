@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from math import comb
+from math import comb, log10
 from typing import Iterator
 
 from .errors import (
@@ -199,11 +199,13 @@ def _intervals(spec: FractalSpec, k: int) -> Iterator[CoverInterval]:
 
 
 def check_cover_cap(spec: FractalSpec, k: int, cap: int | None = None) -> None:
-    """Raise CapExceeded when the depth-k cover has more intervals than the cap."""
-    count, limit = IntervalCover(spec, k, None).count, resolve_cap(cap)
-    if count > limit:
-        raise CapExceeded(
-            f"depth-{k} cover has {format_count(count)} intervals, above cap {limit}")
+    """Raise CapExceeded when the depth-k cover's N'^k intervals pass the cap. N' >= 2 passes
+    it by the power (cap bit length + 1), so no huge power is built; ~10^x is k*log10(N')."""
+    kept, limit = sum(spec.survivor_counts), resolve_cap(cap)
+    if kept ** min(k, limit.bit_length() + 1) > limit:
+        size = k * log10(kept)
+        count = format_count(kept**k) if size < 31 else f"~10^{size:.1f}"
+        raise CapExceeded(f"depth-{k} cover has {count} intervals, above cap {limit}")
 
 
 def refine(cover: IntervalCover) -> IntervalCover:

@@ -14,13 +14,13 @@ Values are rounded from the integers alone: with S = floor(sqrt(D)*2^k), the
 value times M = 2*den*2^k lies strictly between lo = a*2^k + v*S and lo + v
 (v*sqrt(D) is irrational for v != 0). The field norm a^2 - v^2*D is a nonzero
 integer and bounds the value away from zero however much a and v*sqrt(D)
-cancel, so k is set from bit lengths. `to_mpf` shifts S down from one cached
-per `MetallicParams`, with k sized for a bracket 2^-(bits+32) of the value wide,
-divides to bits + 2 quotient bits, doubling k until both ends' quotients agree,
-and rounds them with a sticky bit to nearest-even in integers: it rounds
-correctly, and builds mpmath's normalised (sign, man, exp, bc) tuple itself.
-`to_double` tries k = 192 first, then an isqrt bracket one unit wide, until
-both ends round to one double. Only `to_mpf` and `gamma_mpf` import mpmath.
+cancel, so k is set from bit lengths. One kernel, `_quotient`, shifts S down
+from one cached per `MetallicParams`, divides to bits + 2 quotient bits, doubling
+k until both ends' quotients agree, and hands back that quotient with a sticky
+bit. `to_mpf` rounds it to nearest-even in integers and builds mpmath's
+normalised (sign, man, exp, bc) tuple itself; `to_double` divides it by a power
+of two, one correctly rounded int/int division, after a first try at k = 192
+that settles the tiling and cover rows. Only `to_mpf` and `gamma_mpf` import mpmath.
 
 `MetallicParams` and `QuadElement` are `errors.Record`s, immutable and equal by
 value. `MetallicParams` caches derived values and its hash in its `__dict__`;
@@ -234,33 +234,13 @@ class QuadElement(Record):
         if bits < 53:
             raise ValueError("bits must be >= 53")
         make_mpf, mpz = _mpf_parts()
-        u, v, den, params = self.u, self.v, self.den, self.params
-        g = params.rational_root
-        if g is not None or v == 0:  # the value is num/scale exactly
-            num, scale, width = u + v * (g or 0), den, 0
-        else:  # |a + v*sqrt(D)| = |norm|/|a - v*sqrt(D)| > 2^-size > |v|*2^(bits+32-k)
-            a, width = 2 * u + params.p * v, abs(v)
-            size = max(a.bit_length(), width.bit_length() + (params.D.bit_length() + 1) // 2) + 1
-            k = bits + 32 + size + width.bit_length()
-        while True:
-            if width:  # num < value*scale < num + |v|
-                s = params.sqrt_d_scaled(k)
-                num, scale = (a << k) + v * (s if v > 0 else s + 1), den << (k + 1)
-            n = num if num >= 0 else -num - width  # |value|*scale lies in [n, n + width]
-            # a quotient of bits + 2 bits or more, and a sticky bit, round like the value
-            shift = bits + 2 + scale.bit_length() - n.bit_length()
-            up, down = (shift, 0) if shift >= 0 else (0, -shift)
-            quo, rem = divmod(n << up, scale << down)
-            if rem + (width << up) < scale << down:  # the upper end has the same floor
-                break
-            k *= 2
-        if not quo:  # the value is 0
+        negative, x, e = _quotient(self.params, self.u, self.v, self.den, bits)
+        if not x:  # the value is 0
             return make_mpf((0, mpz(0), 0, 0))
-        x = 2 * quo + ((rem or width) != 0)  # the quotient and a sticky bit, bits + 3 or 4 bits
         d = x.bit_length() - bits  # the bits rounded off
         man = (x + (1 << d - 1) - 1 + (x >> d & 1)) >> d  # to nearest, ties to even
         tz = (man & -man).bit_length() - 1  # trailing zeros, shifted out: the mantissa is odd
-        return make_mpf((int(num < 0), mpz(man >> tz), d + tz - shift - 1, man.bit_length() - tz))
+        return make_mpf((int(negative), mpz(man >> tz), e + d + tz, man.bit_length() - tz))
 
     def __float__(self) -> float:
         return to_double(self.params, self.u, self.v, self.den)
@@ -304,39 +284,47 @@ def _mpf_parts():
     return mpmath.mp.make_mpf, mpmath.libmp.MPZ
 
 
-def _bracket(params: MetallicParams, u: int, v: int, den: int, bits: int) -> tuple[int, int]:
-    """(lo, M) with lo < (u + v*gamma)/den * M < lo + 1 and |lo| >= 2^bits, for v != 0,
-    den > 0 and gamma irrational: one isqrt, at a k set from the norm's bit length."""
-    a, m = 2 * u + params.p * v, 2 * den
-    bb = v * v * params.D
-    norm_bits = (a * a - bb).bit_length()
-    sum_bits = max(a.bit_length(), (bb.bit_length() + 1) // 2) + 1  # > log2(|a| + |v|*sqrt(D))
-    # |value*m*2^k| > 2^(bits+1), so |lo| >= 2^bits
-    k = max(0, bits + 2 + sum_bits - norm_bits)
-    t = math.isqrt(bb << (2 * k))  # floor(|v|*sqrt(D)*2^k), never exact
-    lo = (a << k) + t if v > 0 else (a << k) - t - 1
-    return lo, m << k
+def _quotient(params: MetallicParams, u: int, v: int, den: int,
+              bits: int) -> tuple[bool, int, int]:
+    """(negative, x, e): x*2^e rounds like |(u + v*gamma)/den| at any precision up to
+    `bits`, for integers u, v and den > 0. x is 2*floor(|value|*2^-(e+1)), of bits + 2
+    bits or more, plus a sticky bit for a remainder; x = 0 when the value is 0."""
+    g = params.rational_root
+    if g is not None or v == 0:  # the value is num/scale exactly
+        num, scale, width = u + v * (g or 0), den, 0
+    else:  # |a + v*sqrt(D)| = |norm|/|a - v*sqrt(D)| > 2^-size > |v|*2^(bits+32-k)
+        a, width = 2 * u + params.p * v, abs(v)
+        size = max(a.bit_length(), width.bit_length() + (params.D.bit_length() + 1) // 2) + 1
+        k = bits + 32 + size + width.bit_length()
+    while True:
+        if width:  # num < value*scale < num + |v|
+            s = params.sqrt_d_scaled(k)
+            num, scale = (a << k) + v * (s if v > 0 else s + 1), den << (k + 1)
+        n = num if num >= 0 else -num - width  # |value|*scale lies in [n, n + width]
+        shift = bits + 2 + scale.bit_length() - n.bit_length()
+        up, down = (shift, 0) if shift >= 0 else (0, -shift)
+        quo, rem = divmod(n << up, scale << down)
+        if rem + (width << up) < scale << down:  # the upper end has the same floor
+            return num < 0, 2 * quo + ((rem or width) != 0), -shift - 1
+        k *= 2
 
 
 def to_double(params: MetallicParams, u: int, v: int, den: int) -> float:
     """The correctly rounded double of (u + v*gamma)/den, for integers u, v and den > 0.
-    int/int division rounds correctly and monotonically, so one nonzero double at both
-    ends of the k = FIXED_BITS bracket is the answer; otherwise the isqrt bracket decides."""
-    g = params.rational_root
-    if g is not None or v == 0:
-        return (u + v * (g or 0)) / den
+    value*2*den*2^K lies in [lo, lo + v] at K = FIXED_BITS (exactly at lo when v = 0 or
+    sqrt(D) is an integer), and int/int division rounds correctly and monotonically: one
+    nonzero double at both ends is the answer. Otherwise `_quotient` decides."""
     lo = ((2 * u + params.p * v) << FIXED_BITS) + v * params.sqrt_d_fixed
-    scaled_den = den << (FIXED_BITS + 1)
-    try:
-        f, f_hi = lo / scaled_den, (lo + v) / scaled_den
-    except OverflowError:  # |v| above ~2^1217 and the terms cancel: the bracket is too wide
-        f = f_hi = 0.0
-    if f and f == f_hi:  # an underflow to 0.0 may carry the wrong sign
-        return f
-    bits = 64
-    while True:
-        lo, scaled_den = _bracket(params, u, v, den, bits)
-        f = lo / scaled_den
-        if f == (lo + 1) / scaled_den:
-            return f
-        bits += 64  # the bracket straddles a rounding boundary: narrow it
+    # tried where the bracket is under 2^-55 of the value wide, or is the value (v = 0)
+    if v.bit_length() + 55 < lo.bit_length() or not v:
+        scaled_den = den << (FIXED_BITS + 1)
+        try:
+            f = lo / scaled_den
+            # an underflow to 0.0 may carry the wrong sign, unless lo is the value
+            if f == (lo + v) / scaled_den and (f or not v):
+                return f
+        except OverflowError:  # the lower end may pass the double range where the value does not
+            pass
+    negative, x, e = _quotient(params, u, v, den, 53)
+    f = x / (1 << -e) if e < 0 else float(x << e)  # one rounding, subnormals included
+    return -f if negative else f

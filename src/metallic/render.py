@@ -15,13 +15,13 @@ inputs give byte-identical documents.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import accumulate, chain, islice, pairwise, repeat
+from itertools import accumulate, chain, pairwise, repeat
 
 from .errors import CapExceeded, Record
 from .fractal import FractalSpec, _walk, cover_at_depth  # noqa: F401
 from .limits import RENDER_CAP, format_count
 from .quadfield import MEAN_SYMBOLS, MetallicParams, to_double
-from .substitution import word_at_step
+from .substitution import tile_counts, word_at_step
 from .tiling import _inv_powers, start_numerators, tiling_at_step  # noqa: F401
 
 # Rows are laid out from integer numerators, not from tiling_at_step or
@@ -111,21 +111,15 @@ def _ordinal(k: int) -> str:
     return f"{k}{suffix}"
 
 
-def _tile_totals(params: MetallicParams) -> Iterator[int]:
-    """|W_0|, |W_1|, ...: the tiles of each step, by the recurrence of `tile_counts`."""
-    na, nb = 0, 1
-    while True:
-        yield na + nb
-        na, nb = params.p * na + nb, params.q * na
-
-
 def tiling_stack_lines(params: MetallicParams, n_max: int, plan: RenderPlan) -> Iterator[str]:
     """The lines of `render_tiling_stack`, streamed a row at a time once the cap is checked."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    # `any` stops at the first running total past the cap
-    if any(total > RENDER_CAP for total in accumulate(islice(_tile_totals(params), n_max + 1))):
-        total = sum(islice(_tile_totals(params), n_max + 1))  # exact, for the message only
+    # |W_0| + ... + |W_n| = 1 + S(n) + q*S(n-1) with S(m) = a_0 + ... + a_m, and
+    # (p + q - 1)*S(m) = a_{m+1} + q*a_m - 1; tile_counts gives a_n and q*a_{n-1}
+    p, q, counts = params.p, params.q, tile_counts(params, n_max)
+    total = 1 + ((p + 2 * q) * counts.N_a + (1 + q) * counts.N_b - 1 - q) // (p + q - 1)
+    if total > RENDER_CAP:
         raise CapExceeded(
             f"{format_count(total)} tiles across rows, above render cap {RENDER_CAP}")
     rows = (_tiling_row(params, n, f"step {n}") for n in range(n_max + 1))

@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -445,12 +446,45 @@ def test_deep_estimate_reaches_the_box_fit_cap_fast():
     ["render", "--mode", "stack", "--n", "20000"],
     ["render", "--n", "4", "--remove-long", "1", "--remove-short", "1", "--depth", "100000000"],
     ["render", "--n", "2", "--remove-long", "1", "--depth", "20000"],  # one survivor per level
+    # counts by fast doubling, and a cover count compared before it is powered
+    ["tiling", "--n", "2000000"],
+    ["render", "--mode", "stack", "--n", "2000000"],
+    ["cover", "--n", "4", "--remove-long", "1", "--remove-short", "1", "--depth", "100000000"],
 ])
 def test_cap_error_on_a_huge_count_is_one_short_line(argv):
     result = subprocess.run([sys.executable, "-m", "metallic.cli", *argv], env=CHILD_ENV,
                             capture_output=True, text=True, timeout=20)
     assert (result.returncode, result.stdout) == (3, "")
     assert result.stderr.count("\n") == 1 and len(result.stderr.encode()) < 200
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+
+
+HUGE_P = "1000000000000"  # 10^12: an image a^p b^q would need a terabyte
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["word", "--n", "0", "--p", HUGE_P], "b\n"),
+    (["word", "--n", "1", "--p", HUGE_P], "a\n"),
+    (["tiling", "--n", "1", "--p", HUGE_P, "--format", "csv"],
+     "index,kind,start_c0_num,start_c0_den,start_c1_num,start_c1_den,start_float,"
+     "length_exponent,length_float\n0,a,0,1,0,1,0,0,1\n"),
+    (["word", "--n", "2", "--p", HUGE_P, "--max-letters", "5"],
+     "aaaaa...\nletters: 1000000000001\n"),
+    (["word", "--n", "3", "--q", HUGE_P, "--max-letters", "5"],
+     "abbbb...\nletters: 2000000000001\n"),
+    # p = 10^25 is past an index-sized integer, so "a"*p cannot even be asked for
+    (["word", "--n", "3", "--p", "1" + "0" * 25],
+     "a" * 10000 + "...\nletters: 1" + "0" * 24 + "1" + "0" * 24 + "1\n"),
+], ids=["word-n0", "word-n1", "tiling-n1", "word-n2-prefix", "word-n3-huge-q", "word-n3-p-1e25"])
+def test_words_build_no_image_they_do_not_emit(argv, expected):
+    # runs of letters expand as they are read, under a 2 GB address space
+    result = subprocess.run([sys.executable, "-m", "metallic.cli", *argv], env=CHILD_ENV,
+                            capture_output=True, text=True, timeout=20,
+                            preexec_fn=_limit_address_space)
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -205,12 +206,27 @@ def test_to_mpf_tolerance():
     assert float(COPPER.gamma().to_mpf(128)) == 2.0
 
 
+def _isqrt_bracket(params, u, v, den, bits):
+    """(lo, M) with lo < (u + v*gamma)/den * M < lo + 1 and |lo| >= 2^bits, for v != 0,
+    den > 0 and gamma irrational: one isqrt of its own, at a k set from the norm's bit
+    length. A reference that shares nothing with `sqrt_d_scaled`."""
+    a, m = 2 * u + params.p * v, 2 * den
+    bb = v * v * params.D
+    norm_bits = (a * a - bb).bit_length()
+    sum_bits = max(a.bit_length(), (bb.bit_length() + 1) // 2) + 1  # > log2(|a| + |v|*sqrt(D))
+    # |value*m*2^k| > 2^(bits+1), so |lo| >= 2^bits
+    k = max(0, bits + 2 + sum_bits - norm_bits)
+    t = math.isqrt(bb << (2 * k))  # floor(|v|*sqrt(D)*2^k), never exact
+    lo = (a << k) + t if v > 0 else (a << k) - t - 1
+    return lo, m << k
+
+
 def _from_rational(x, bits):
-    """The lower end of x's `_bracket` (or x itself, when exact) rounded to nearest at
-    `bits` by mpmath's rational division: x rounded, unless x lies near a midpoint."""
+    """The lower end of x's `_isqrt_bracket` (or x itself, when exact) rounded to nearest
+    at `bits` by mpmath's rational division: x rounded, unless x lies near a midpoint."""
     u, v, den = x.numerators()
     if x.params.rational_root is None and v:
-        num, scaled_den = quadfield._bracket(x.params, u, v, den, bits + 4)
+        num, scaled_den = _isqrt_bracket(x.params, u, v, den, bits + 4)
     else:
         num, scaled_den = u + v * (x.params.rational_root or 0), den
     libmp = mpmath.libmp
@@ -360,8 +376,8 @@ def test_to_double_on_integers():
 
 def test_to_double_fixed_point_path_and_fallback(monkeypatch):
     calls = []
-    bracket = quadfield._bracket
-    monkeypatch.setattr(quadfield, "_bracket", lambda *a: calls.append(a) or bracket(*a))
+    kernel = quadfield._quotient
+    monkeypatch.setattr(quadfield, "_quotient", lambda *a: calls.append(a) or kernel(*a))
 
     def check(params, u, v, den):
         f = to_double(params, u, v, den)
@@ -382,9 +398,63 @@ def test_to_double_fixed_point_path_and_fallback(monkeypatch):
 @pytest.mark.parametrize("m", [1760, 2000, 5000])
 def test_to_double_underflows_where_fixed_point_bracket_overflows(m):
     # past |v| ~ 2^1217 the fixed-point bracket, divided by 2*den*2^192, is above
-    # the largest double; the isqrt bracket still settles the value
+    # the largest double; the kernel's bracket, sized from the norm, still settles it
     assert float(gamma_pow(GOLDEN, -m)) == 0.0
     assert float(1 - gamma_pow(GOLDEN, -m)) == 1.0
+
+
+def _reference_double(params, u, v, den):
+    """The double of (u + v*gamma)/den from `_isqrt_bracket`s narrowed until both ends
+    round alike; OverflowError past the double range, as int/int division raises it."""
+    g = params.rational_root
+    if g is not None or v == 0:
+        return (u + v * (g or 0)) / den
+    bits = 64
+    while True:
+        lo, m = _isqrt_bracket(params, u, v, den, bits)
+        f = lo / m
+        if f == (lo + 1) / m:
+            return f
+        bits += 64
+
+
+@st.composite
+def _wide_numerators(draw):
+    """(params, u, v, den) with |v| up to 2^3000, den up to 7^30 and q > 1 means drawn,
+    half of them with u within a few units of -v*gamma, where most bits cancel."""
+    params = MetallicParams(draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    v = draw(st.integers(-2**3000, 2**3000))
+    den = draw(st.integers(1, 7**30))
+    if draw(st.booleans()):
+        floor = (params.p * abs(v) + math.isqrt(v * v * params.D)) // 2  # floor(|v|*gamma)
+        u = (-floor if v > 0 else floor) + draw(st.integers(-3, 3))
+    else:
+        u = draw(st.integers(-2**3000, 2**3000))
+    return params, u, v, den
+
+
+def _double_or_overflow(fn, *args):
+    try:
+        return fn(*args).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_wide_numerators())
+def test_to_double_matches_an_isqrt_reference(case):
+    assert _double_or_overflow(to_double, *case) == _double_or_overflow(_reference_double, *case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_elements(), _wide_numerators().map(lambda c: quadfield._element(*c[1:], c[0]))))
+def test_float_is_to_mpf_at_53_bits_in_the_normal_range(x):
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if sys.float_info.min <= abs(f) <= sys.float_info.max:
+        assert f == float(x.to_mpf(53))
 
 
 # Elements are integers (u + v*gamma)/den in lowest terms; Fractions are only read.
@@ -484,7 +554,7 @@ def _rounded_by_mpmath(x, bits):
         if g is not None or v == 0:
             n, m, width = abs(u + v * (g or 0)), den, 0
         else:
-            lo, m = quadfield._bracket(x.params, u, v, den, k)
+            lo, m = _isqrt_bracket(x.params, u, v, den, k)
             n, width = (lo if lo >= 0 else -lo - 1), 1
         s = max(0, bits + 3 + m.bit_length() - n.bit_length())
         quo, rem = divmod(n << s, m)
