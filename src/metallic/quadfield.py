@@ -287,8 +287,8 @@ def _mpf_parts():
 def _quotient(params: MetallicParams, u: int, v: int, den: int,
               bits: int) -> tuple[bool, int, int]:
     """(negative, x, e): x*2^e rounds like |(u + v*gamma)/den| at any precision up to
-    `bits`, for integers u, v and den > 0. x is 2*floor(|value|*2^-(e+1)), of bits + 2
-    bits or more, plus a sticky bit for a remainder; x = 0 when the value is 0."""
+    `bits`, for integers u, v and den > 0. x is 2*floor(|value|*2^-(e+1)), a floor of
+    bits + 2 bits or more, plus a sticky bit for a remainder; x = 0 when the value is 0."""
     g = params.rational_root
     if g is not None or v == 0:  # the value is num/scale exactly
         num, scale, width = u + v * (g or 0), den, 0
@@ -311,7 +311,7 @@ def _quotient(params: MetallicParams, u: int, v: int, den: int,
 
 def to_double(params: MetallicParams, u: int, v: int, den: int) -> float:
     """The correctly rounded double of (u + v*gamma)/den, for integers u, v and den > 0.
-    value*2*den*2^K lies in [lo, lo + v] at K = FIXED_BITS (exactly at lo when v = 0 or
+    value*2*den*2^K lies between lo and lo + v at K = FIXED_BITS (at lo when v = 0 or
     sqrt(D) is an integer), and int/int division rounds correctly and monotonically: one
     nonzero double at both ends is the answer. Otherwise `_quotient` decides."""
     lo = ((2 * u + params.p * v) << FIXED_BITS) + v * params.sqrt_d_fixed
@@ -323,7 +323,7 @@ def to_double(params: MetallicParams, u: int, v: int, den: int) -> float:
             # an underflow to 0.0 may carry the wrong sign, unless lo is the value
             if f == (lo + v) / scaled_den and (f or not v):
                 return f
-        except OverflowError:  # the lower end may pass the double range where the value does not
+        except OverflowError:  # an end may pass the double range where the value does not
             pass
     negative, x, e = _quotient(params, u, v, den, 53)
     f = x / (1 << -e) if e < 0 else float(x << e)  # one rounding, subnormals included
