@@ -132,8 +132,8 @@ def _count_boxes(spec: FractalSpec, depth: int, scale: tuple[int, int], den: int
     levels = [{r for r, t in roots if t == left} for left in range(max(t for _, t in roots) + 1)]
     for left in reversed(range(len(levels) - 1)):
         levels[left] |= {e + x for e in levels[left + 1] for x in steps}
-    children = _child_layout(spec, g)
-    kids = {e: children(e) for e in set().union(*levels[1:])}
+    children = _child_layout(spec, g, [0] * len(g))  # no enclosures
+    kids = {e: [(du, dv, x) for du, dv, _, x, _ in children(e)] for e in set().union(*levels[1:])}
     # runs[left][e]: offsets (s0, s1, e0, e1) of each run's first start and last end in
     # a node gamma^-e long with `left` levels below it, or None past _MAX_RUNS runs
     runs = [{e: [(0, 0, *g[e])] for e in levels[0]}]

@@ -5,9 +5,9 @@ tiling, then recursively re-tiles every surviving interval with the same
 (scaled) survivor pattern. The depth-k cover is the set of intervals left
 after k rounds; its lengths are pure powers of gamma. One integer walk hands
 each interval out as its start (u + v*gamma)/q^(n*k), length exponent and
-path of tile kinds, held as integers in the tile type. Children are laid out
-by `tiling.start_numerators` and kept by the survivor mask; every materialized
-cover, `refine`'s too, comes from `cover_at_depth`.
+path of tile kinds, held as integers in the tile type, with a fixed-point
+enclosure of the start that rounds it without cancellation. Children are laid
+out by `_child_layout`; every materialized cover comes from `cover_at_depth`.
 
 Which tiles get removed is a free choice (the dimension only sees the counts):
 the default "keep-first" policy drops the last l long and last s short tiles
@@ -18,8 +18,8 @@ word positions so published figures can be reproduced exactly.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
-from math import comb, log10
+from itertools import accumulate, compress
+from math import ceil, comb, log2, log10
 from typing import Iterator
 
 from .errors import (
@@ -30,10 +30,10 @@ from .errors import (
     Record,
     ValidationError,
 )
-from .limits import format_count, resolve_cap
+from .limits import DEFAULT_BITS, format_count, resolve_cap
 from .quadfield import MetallicParams, QuadElement, gamma_pow
 from .substitution import tile_counts, word_at_step
-from .tiling import Tile, _inv_powers, start_numerators, tiling_at_step
+from .tiling import Tile, _fixed_powers, _inv_powers, tiling_at_step
 
 POLICIES = ("keep-first", "keep-last", "explicit")
 
@@ -150,57 +150,63 @@ def _survivor_pattern(spec: FractalSpec) -> tuple[str, tuple[bool, ...]]:
     return word, tuple(i not in removed for i in range(len(word)))
 
 
-def _child_layout(spec: FractalSpec, g: tuple[tuple[int, int], ...]):
-    """children(e, *tags): the survivors in a parent gamma^-e long, left to right, as
-    (du, dv, exponent, *tag) with their start offsets laid out like the word from the
-    `_inv_powers` table g. The walker and the box counter both lay children out here."""
-    n = spec.n
-    word, kept = _survivor_pattern(spec)
-    shrink = [n - (letter == "a") for letter in compress(word, kept)]
+def _child_layout(spec: FractalSpec, g: tuple[tuple[int, int], ...], fixed: list[int]):
+    """children(e): the survivors in a parent gamma^-e long, left to right, as (du, dv, df,
+    exponent, letter): after A long and B short tiles, at A*gamma^-(e+n-1) + B*gamma^-(e+n)
+    on the `_inv_powers` table g and the `_fixed_powers` column `fixed`."""
+    n, (word, kept) = spec.n, _survivor_pattern(spec)
+    longs = accumulate((letter == "a" for letter in word), initial=0)
+    before = [(a, i - a, n - (letter == "a"), letter)
+              for i, (letter, a, keep) in enumerate(zip(word, longs, kept)) if keep]
 
-    def children(e: int, *tags) -> list[tuple]:
-        us, vs = start_numerators(word, g[e + n - 1], g[e + n])
-        return list(zip(compress(us, kept), compress(vs, kept), [e + x for x in shrink], *tags))
+    def children(e: int) -> list[tuple]:
+        (a0, a1), (b0, b1), fa, fb = g[e + n - 1], g[e + n], fixed[e + n - 1], fixed[e + n]
+        return [(a * a0 + b * b0, a * a1 + b * b1, a * fa + b * fb, e + x, letter)
+                for a, b, x, letter in before]
     return children
 
 
-def _walk(spec: FractalSpec, depth: int) -> Iterator[tuple[int, int, int, str]]:
-    """The cover at `depth` left to right, in integers: (u, v, exponent, path).
+def _walk(spec: FractalSpec, depth: int) -> Iterator[tuple]:
+    """The cover at `depth` left to right, in integers: (u, v, fix, exponent, path).
 
-    The interval starts at (u + v*gamma) / q^E, E = n*depth, and is
-    gamma^-exponent long; path spells the survivor letters that led to it.
-    Depth-first with an explicit stack, so depth is not bound by the recursion
-    limit.
+    x = (u + v*gamma) / q^E, E = n*depth, starts an interval gamma^-exponent long, reached by
+    the survivor letters path. fix = (f, err, K), f <= x*2^K < f + err (None for rational x):
+    f adds a `_fixed_powers` entry, under 3 low, per tile before x, so err = 3*depth*|W_n|, and
+    K gives x >= gamma^-E DEFAULT_BITS + 64 bits. An explicit stack frees depth from recursion.
     """
-    layout = _child_layout(spec, _inv_powers(spec.params, spec.n * depth))
-    word, kept = _survivor_pattern(spec)
-    letters = list(compress(word, kept))
-    children: dict[int, list[tuple[int, int, int, str]]] = {}  # by parent exponent
-    stack = [(0, 0, 0, "", depth)]
-    while stack:
-        u, v, e, path, left = stack.pop()
-        if left == 0:
-            yield u, v, e, path
-            continue
+    params, n, top = spec.params, spec.n, spec.n * depth
+    k = DEFAULT_BITS + 64 + ceil(top * log2(params.gamma_float))
+    g = _inv_powers(params, top)
+    layout = _child_layout(spec, g, _fixed_powers(params, g, k))
+    err, irrational = 3 * depth * len(_survivor_pattern(spec)[0]), params.rational_root is None
+    children: dict[int, list[tuple]] = {}  # by parent exponent
+    stack = [(0, 0, 0, 0, "", depth)] if depth else []
+    if not depth:
+        yield 0, 0, None, 0, ""
+    while stack:  # every entry has a level below it
+        u, v, f, e, path, left = stack.pop()
         if e not in children:
-            children[e] = layout(e, letters)
-        if left == 1:
-            for du, dv, x, letter in children[e]:
-                yield u + du, v + dv, x, path + letter
-        else:
-            stack.extend([(u + du, v + dv, x, path + letter, left - 1)
-                          for du, dv, x, letter in reversed(children[e])])
+            children[e] = layout(e)
+        if left > 1:
+            stack.extend([(u + du, v + dv, f + df, x, path + letter, left - 1)
+                          for du, dv, df, x, letter in reversed(children[e])])
+            continue
+        for du, dv, df, x, letter in children[e]:
+            w = v + dv
+            yield u + du, w, (f + df, err, k) if w and irrational else None, x, path + letter
 
 
 def _intervals(spec: FractalSpec, k: int) -> Iterator[CoverInterval]:
     params, den = spec.params, spec.params.q ** (spec.n * k)
-    for u, v, e, path in _walk(spec, k):
-        yield CoverInterval(params, path, u, v, den, e)
+    for u, v, fix, e, path in _walk(spec, k):
+        yield CoverInterval(params, path, u, v, den, e, fix)
 
 
 def check_cover_cap(spec: FractalSpec, k: int, cap: int | None = None) -> None:
-    """Raise CapExceeded when the depth-k cover's N'^k intervals pass the cap. N' >= 2 passes
-    it by the power (cap bit length + 1), so no huge power is built; ~10^x is k*log10(N')."""
+    """Raise CapExceeded when the step-n word passes the letter cap, or the depth-k cover's
+    N'^k intervals pass `cap`: N' >= 2 passes it by the power (cap bit length + 1), so no
+    huge power is built; ~10^x is k*log10(N')."""
+    _survivor_pattern(spec)
     kept, limit = sum(spec.survivor_counts), resolve_cap(cap)
     if kept ** min(k, limit.bit_length() + 1) > limit:
         size = k * log10(kept)

@@ -20,11 +20,15 @@ k until both ends' quotients agree, and hands back that quotient with a sticky
 bit. `to_mpf` rounds it to nearest-even in integers and builds mpmath's
 normalised (sign, man, exp, bc) tuple itself; `to_double` divides it by a power
 of two, one correctly rounded int/int division, after a first try at k = 192
-that settles the tiling and cover rows. Only `to_mpf` and `gamma_mpf` import mpmath.
+that settles the tiling and cover rows. A cover walk encloses each deep start, whose bracket
+cancels about 2*n*k*log2(gamma) bits, as fix = (f, err, K): f <= value*2^K < f + err with
+err = 3*k*|W_n|. `to_mpf` and `float()` first take f's top bits + 2 and a sticky bit if
+f + err shares them (Ziv, ACM TOMS 17(3), 1991), else `_quotient`'s. Only `to_mpf` and
+`gamma_mpf` import mpmath.
 
 `MetallicParams` and `QuadElement` are `errors.Record`s, immutable and equal by
 value. `MetallicParams` caches derived values and its hash in its `__dict__`;
-`QuadElement` is slotted over u, v, den and params and reads c0, c1 as Fractions.
+`QuadElement` is slotted over u, v, den, params and fix, and reads c0, c1 as Fractions.
 """
 
 from __future__ import annotations
@@ -115,7 +119,7 @@ class QuadElement(Record):
     """An exact element (u + v*gamma)/den of Q(gamma), in lowest terms: den > 0 and
     gcd(den, u, v) = 1. c0 = u/den and c1 = v/den are read as Fractions."""
 
-    __slots__ = ("u", "v", "den", "params")
+    __slots__ = ("u", "v", "den", "params", "fix")
     _fields = ("c0", "c1", "params")
 
     def __new__(cls, c0: Rational, c1: Rational, params: MetallicParams) -> QuadElement:
@@ -234,7 +238,7 @@ class QuadElement(Record):
         if bits < 53:
             raise ValueError("bits must be >= 53")
         make_mpf, mpz = _mpf_parts()
-        negative, x, e = _quotient(self.params, self.u, self.v, self.den, bits)
+        negative, x, e = self._settled(bits)
         if not x:  # the value is 0
             return make_mpf((0, mpz(0), 0, 0))
         d = x.bit_length() - bits  # the bits rounded off
@@ -243,20 +247,32 @@ class QuadElement(Record):
         return make_mpf((int(negative), mpz(man >> tz), e + d + tz, man.bit_length() - tz))
 
     def __float__(self) -> float:
-        return to_double(self.params, self.u, self.v, self.den)
+        if self.fix is None:
+            return to_double(self.params, self.u, self.v, self.den)
+        _, x, e = self._settled(53)  # a cover start lies in (0, 1): positive, and e < 0
+        return x / (1 << -e)  # one rounding, subnormals included
+
+    def _settled(self, bits: int) -> tuple[bool, int, int]:
+        """`_quotient`'s (negative, x, e) at `bits`, from the enclosure when its ends agree."""
+        if self.fix is not None:  # f <= value*2^K < f + err, the value positive and irrational
+            f, err, k = self.fix
+            t = (f + err).bit_length() - bits - 2
+            if t > 0 and f >> t == (f + err) >> t:
+                return False, f >> t << 1 | 1, t - k - 1
+        return _quotient(self.params, self.u, self.v, self.den, bits)
 
     def __str__(self) -> str:
         return f"{self.c0} + {self.c1}*gamma"
 
 
 _new = object.__new__  # allocates; the setters below write past Record's __setattr__
-_SET_U, _SET_V, _SET_DEN, _SET_PARAMS = (getattr(QuadElement, name).__set__
-                                         for name in QuadElement.__slots__)
+_SET_U, _SET_V, _SET_DEN, _SET_PARAMS, _SET_FIX = (getattr(QuadElement, name).__set__
+                                                   for name in QuadElement.__slots__)
 
 
-def _element(u: int, v: int, den: int, params: MetallicParams) -> QuadElement:
-    """(u + v*gamma)/den for den != 0, in lowest terms by one gcd. den goes first:
-    gcd(1, u, v) returns at once, and for q = 1 every cover start has den 1."""
+def _element(u: int, v: int, den: int, params: MetallicParams, fix=None) -> QuadElement:
+    """(u + v*gamma)/den for den != 0, in lowest terms by one gcd, enclosed by fix. den goes
+    first: gcd(1, u, v) returns at once, and for q = 1 every cover start has den 1."""
     g = math.gcd(den, u, v) if den > 0 else -math.gcd(den, u, v)
     if g != 1:
         u, v, den = u // g, v // g, den // g
@@ -265,6 +281,7 @@ def _element(u: int, v: int, den: int, params: MetallicParams) -> QuadElement:
     _SET_V(x, v)
     _SET_DEN(x, den)
     _SET_PARAMS(x, params)
+    _SET_FIX(x, fix)
     return x
 
 

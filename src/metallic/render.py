@@ -103,7 +103,7 @@ def _cover_row(spec: FractalSpec, k: int, label: str) -> Row:
     lengths = _inv_powers(params, spec.n * k)  # numerators of gamma^-e over den
     return label, ((to_double(params, u, v, den),
                     to_double(params, u + lengths[e][0], v + lengths[e][1], den), path[-1], e)
-                   for u, v, e, path in _walk(spec, k))
+                   for u, v, _, e, path in _walk(spec, k))
 
 
 def _ordinal(k: int) -> str:

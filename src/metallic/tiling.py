@@ -5,8 +5,8 @@ of length gamma^-n, laid out left to right in word order. A tile holds the
 integers of its start (u + v*gamma)/q^n; the exact field elements `.start`,
 `.length` and `.end` are built on access, to check the unit length exactly.
 
-`start_numerators`, running sums of lengths from `_inv_powers` (the one table
-of q^E * gamma^-m), is the one layout rule: render and the cover walker use it too.
+`start_numerators` sums lengths from `_inv_powers`, the table of q^E * gamma^-m, for
+tilings and render; `_fixed_powers`, gamma^-m * 2^K less under 3, encloses cover starts.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import enum
 from collections import Counter
 from collections.abc import Iterator
 from itertools import accumulate, repeat
+from math import ceil, isqrt, log2
 from operator import attrgetter
 
 from .errors import CapExceeded, Record
@@ -33,15 +34,16 @@ class Tile:
 
     kind_path is a tile's letter or the survivor letters that led to a cover
     interval; the last one is its kind (None for the depth-0 interval [0,1]).
-    Read-only by convention; equality is by value.
+    fix, a cover start's enclosure f <= start*2^K < f + err as (f, err, K), goes on to
+    `.start` (None on tiles). Read-only by convention; equality is by value, fix aside.
     """
 
-    __slots__ = ("params", "kind_path", "u", "v", "den", "length_exponent")
+    __slots__ = ("params", "kind_path", "u", "v", "den", "length_exponent", "fix")
 
     def __init__(self, params: MetallicParams, kind_path: str, u: int, v: int, den: int,
-                 length_exponent: int) -> None:
+                 length_exponent: int, fix: tuple[int, int, int] | None = None) -> None:
         self.params, self.kind_path, self.length_exponent = params, kind_path, length_exponent
-        self.u, self.v, self.den = u, v, den
+        self.u, self.v, self.den, self.fix = u, v, den, fix
 
     @property
     def kind(self) -> TileKind | None:
@@ -49,7 +51,7 @@ class Tile:
 
     @property
     def start(self) -> QuadElement:
-        return _element(self.u, self.v, self.den, self.params)
+        return _element(self.u, self.v, self.den, self.params, self.fix)
 
     @property
     def length(self) -> QuadElement:
@@ -120,6 +122,21 @@ def _inv_powers(params: MetallicParams, e_max: int,
         u, v = g[-1]
         g.append((v - p * u // q, u // q))
     return tuple(g)
+
+
+def _fixed_powers(params: MetallicParams, g: tuple[tuple[int, int], ...], k: int) -> list[int]:
+    """F[m] <= gamma^-m * 2^k < F[m] + 3, m = 0..E, for the `_inv_powers` table g over q^E:
+    y[m] = gamma^-m * 2^(k+d) = p*y[m+1] + q*y[m+2], run down by additions from y[E], y[E+1]
+    under 2 low, is under 2*gamma^(E+1) < 2^(d-9) low (by the coefficients' sum), F = y >> d."""
+    p, q, top, (u, v) = params.p, params.q, len(g) - 1, g[-1]
+    d = 10 + ceil((top + 1) * log2(params.gamma_float))
+
+    def below(a: int, b: int) -> int:  # (a + b*gamma) * 2^(k+d) / q^(E+1), less under 2
+        t = isqrt(b * b * params.D << 2 * (k + d))
+        return ((2 * a + p * b << k + d) + (t if b >= 0 else -t - 1)) // (2 * q ** (top + 1))
+    y0, y1 = below(q * u, q * v), below(q * v - p * u, u)  # y[E]; y[E+1]: 1/gamma = (gamma - p)/q
+    ys = accumulate(repeat(0, top), lambda y, _: (p * y[0] + q * y[1], y[0]), initial=(y0, y1))
+    return [y >> d for y, _ in ys][::-1]
 
 
 def start_numerators(letters: str, long_len: tuple[int, int],

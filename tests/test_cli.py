@@ -200,6 +200,16 @@ def test_exit_code_cap_exceeded(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cover_checks_the_word_cap_before_any_output(fmt, capsys):
+    # |W_2| = p^2 + 1 letters: the cover's cap passes, the survivor pattern's does not
+    code = main(["cover", "--n", "2", "--p", "1000000000000", "--remove-long", "1000000000000",
+                 "--depth", "1", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "|W_2| = 1000000000001 letters exceeds cap" in captured.err
+
+
 class _NoOutput(io.StringIO):
     def write(self, text):
         raise AssertionError(f"wrote {text!r} before the argument checks")

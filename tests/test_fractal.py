@@ -1,7 +1,9 @@
 """Removal fractals: survivors, refinement, covers, gaps."""
 
+import math
 import pickle
 from collections import Counter
+from itertools import compress, islice
 
 import pytest
 
@@ -23,6 +25,9 @@ from metallic import (
     survivors,
     tile_counts,
 )
+from metallic.fractal import _child_layout, _survivor_pattern
+from metallic.limits import DEFAULT_BITS
+from metallic.tiling import _fixed_powers, _inv_powers, start_numerators
 
 GOLDEN = MetallicParams(1, 1)
 SILVER = MetallicParams(2, 1)
@@ -283,3 +288,86 @@ def test_summary_cover_has_no_intervals():
         refine(cover)
     with pytest.raises(ValidationError):
         gaps(cover)
+
+
+# Cover starts carry a fixed-point enclosure (f, err, K): f <= start*2^K < f + err.
+
+def floor_scaled(x, k):
+    """floor(x * 2^k) for an element x of Q(gamma), exactly, from one isqrt of its own."""
+    u, v, den = x.numerators()
+    a, b = (2 * u + x.params.p * v) << k, v << k  # x*2^k = (a + b*sqrt(D)) / (2*den)
+    t = math.isqrt(b * b * x.params.D)  # floor(|b|*sqrt(D))
+    below = t * t != b * b * x.params.D  # |b|*sqrt(D) is not an integer
+    return (a + t if b >= 0 else a - t - below) // (2 * den)
+
+
+@pytest.mark.parametrize("pq", [(1, 1), (2, 1), (1, 3), (2, 3), (3, 2), (2, 5), (7, 7)])
+def test_fixed_powers_are_under_three_below_the_powers(pq):
+    params = MetallicParams(*pq)
+    g = _inv_powers(params, 400)
+    walk_bits = DEFAULT_BITS + 64 + math.ceil(400 * math.log2(params.gamma_float))
+    for k in (0, 64, walk_bits):
+        column = _fixed_powers(params, g, k)
+        assert len(column) == 401
+        for m, f in enumerate(column):
+            exact = floor_scaled(gamma_pow(params, -m), k)
+            # f <= gamma^-m * 2^k < f + 3, i.e. f is the floor or at most 2 below it
+            assert exact - 2 <= f <= exact, (m, k)
+
+
+ENCLOSED_SPECS = [
+    FractalSpec(GOLDEN, 4, 1, 1), FractalSpec(GOLDEN, 4, 1, 1, policy="keep-last"),
+    FractalSpec(GOLDEN, 3, 0, 1), FractalSpec(SILVER, 2, 1, 0, policy="keep-last"),
+    SPEC_210_FIG, FractalSpec(MetallicParams(3, 1), 2, 1, 1),
+    FractalSpec(MetallicParams(1, 2), 2, 0, 1), FractalSpec(MetallicParams(1, 2), 3, 1, 0),
+    FractalSpec(MetallicParams(1, 3), 2, 0, 1, policy="keep-last"),
+    FractalSpec(MetallicParams(2, 3), 2, 1, 1, policy="explicit", indices=(1, 3)),
+    FractalSpec(MetallicParams(3, 2), 3, 2, 1, policy="keep-last"),
+    FractalSpec(MetallicParams(2, 5), 2, 1, 0, policy="explicit", indices=(0,)),
+]
+
+
+@pytest.mark.parametrize("spec", ENCLOSED_SPECS)
+def test_cover_start_enclosures_contain_the_starts(spec):
+    irrational = spec.params.rational_root is None
+    for depth in (1, 2, 7, 23, 41, 60):
+        for iv in islice(iter_cover_intervals(spec, depth), 300):
+            # rational starts (v = 0, or a rational mean) have no enclosure
+            assert (iv.fix is None) == (iv.v == 0 or not irrational)
+            assert iv.start.fix is iv.fix
+            if iv.fix is not None:
+                f, err, k = iv.fix
+                scaled = floor_scaled(iv.start, k)  # start*2^K is irrational: floor < it
+                assert f <= scaled < f + err
+                assert err <= 3 * depth * len(_survivor_pattern(spec)[0])
+                # start >= gamma^-(n*depth) leaves DEFAULT_BITS + 64 bits above the point
+                assert scaled.bit_length() >= DEFAULT_BITS + 64
+
+
+def reference_children(spec, g, fixed, e):
+    """The children of a parent gamma^-e long by the running sums of `start_numerators`
+    over the whole word, kept by the survivor mask: a reference for `_child_layout`, which
+    places each survivor from its counts of long and short tiles instead."""
+    n, (word, kept) = spec.n, _survivor_pattern(spec)
+    us, vs = start_numerators(word, g[e + n - 1], g[e + n])
+    fs, _ = start_numerators(word, (fixed[e + n - 1], 0), (fixed[e + n], 0))
+    exponents = [e + n - (letter == "a") for letter in word]
+    return list(zip(*(compress(column, kept) for column in (us, vs, fs, exponents, word))))
+
+
+# the seven library_fit prefix streams: base specs and their depths
+PREFIX_SPECS = [((2, 1, 2, 1, 0), 40), ((1, 1, 4, 1, 1), 43), ((1, 1, 3, 0, 1), 46),
+                ((1, 1, 3, 0, 1), 40), ((3, 1, 2, 1, 1), 49), ((2, 1, 2, 0, 1), 52),
+                ((1, 2, 2, 0, 1), 55)]
+
+
+@pytest.mark.parametrize("base, depth", PREFIX_SPECS)
+@pytest.mark.parametrize("policy", ["keep-first", "keep-last"])
+def test_child_layout_matches_running_sums_on_prefix_specs(base, depth, policy):
+    p, q, n, l, s = base
+    spec = FractalSpec(MetallicParams(p, q), n, l, s, policy=policy)
+    g = _inv_powers(spec.params, n * depth)
+    fixed = _fixed_powers(spec.params, g, 300)
+    children = _child_layout(spec, g, fixed)
+    for e in range(n * depth - n + 1):
+        assert children(e) == reference_children(spec, g, fixed, e)

@@ -1,10 +1,12 @@
 """Property tests of the shared layout: step-n tilings and removal covers.
 
-The tiling and the cover walker both place letters with one running sum of
-integer lengths (`tiling.start_numerators`). These properties check what it
-lays out against exact field arithmetic that does not use it: signs of
-QuadElement differences, and sums of `gamma_pow` lengths. The walker's box
-counts are checked the same way, and the dimension against removal counts.
+The tiling places letters with one running sum of integer lengths
+(`tiling.start_numerators`); the cover walker places each survivor from its
+counts of long and short tiles before it (`fractal._child_layout`), which must
+equal those running sums. These properties check what both lay out against
+exact field arithmetic that does not use them: signs of QuadElement
+differences, and sums of `gamma_pow` lengths. The walker's box counts are
+checked the same way, and the dimension against removal counts.
 """
 
 import math
@@ -32,7 +34,10 @@ from metallic import (
 )
 from metallic import estimate
 from metallic.estimate import _count_boxes
-from metallic.fractal import POLICIES
+from metallic.fractal import POLICIES, _child_layout
+from metallic.limits import DEFAULT_BITS
+from metallic.tiling import _fixed_powers, _inv_powers
+from test_fractal import reference_children
 
 MAX_INTERVALS = 4096
 MAX_DEPTH = 4
@@ -97,6 +102,18 @@ def test_cover_count_and_total_length(case):
     total = sum((c * gamma_pow(params, -m) for m, c in exponents.items()), params.zero())
     per_level = na * gamma_pow(params, -(n - 1)) + nb * gamma_pow(params, -n)
     assert total == per_level**k
+
+
+@settings(max_examples=100, deadline=None)
+@given(covers())
+def test_child_layout_matches_running_sums(case):
+    spec, k = case
+    depth = max(k, 1)
+    g = _inv_powers(spec.params, spec.n * depth)
+    fixed = _fixed_powers(spec.params, g, DEFAULT_BITS)
+    children = _child_layout(spec, g, fixed)
+    for e in range(spec.n * depth - spec.n + 1):  # every parent exponent of the walk
+        assert children(e) == reference_children(spec, g, fixed, e)
 
 
 @settings(max_examples=100, deadline=None)

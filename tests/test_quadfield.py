@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metallic import MetallicParams, ParamsMismatch, QuadElement, gamma_pow, metallic_sequence
+from metallic import (MetallicParams, ParamsMismatch, QuadElement, gamma_pow, metallic_sequence,
+                      tile_counts)
 from metallic import quadfield
 from metallic.fractal import FractalSpec, iter_cover_intervals
 from metallic.quadfield import to_double
 from metallic.tiling import tiling_at_step
+from test_fractal import floor_scaled
 
 GOLDEN = MetallicParams(1, 1)
 SILVER = MetallicParams(2, 1)
@@ -585,3 +587,83 @@ def test_to_mpf_carry_and_zero():
         for bits in (53, 128, 300):
             zero = params.zero().to_mpf(bits)
             assert zero._mpf_ == mpmath.libmp.fzero and zero == 0
+
+
+# Deep cover starts round from the walk's fixed-point enclosure first.
+
+def _reference_mpf(x, bits):
+    """x rounded to nearest at `bits` bits by mpmath's rational division of `_isqrt_bracket`
+    ends, narrowed until both ends round alike (x itself when it is rational)."""
+    u, v, den = x.numerators()
+    libmp = mpmath.libmp
+    if x.params.rational_root is not None or not v:
+        num = u + v * (x.params.rational_root or 0)
+        return mpmath.mp.make_mpf(libmp.from_rational(num, den, bits, libmp.round_nearest))
+    extra = bits + 8
+    while True:
+        lo, m = _isqrt_bracket(x.params, u, v, den, extra)
+        ends = {libmp.from_rational(y, m, bits, libmp.round_nearest) for y in (lo, lo + 1)}
+        if len(ends) == 1:
+            return mpmath.mp.make_mpf(ends.pop())
+        extra *= 2
+
+
+@st.composite
+def _deep_starts(draw):
+    """A start among the first 200 of a depth <= 60 cover over q <= 5, n <= 4."""
+    params = MetallicParams(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    n = draw(st.integers(2, 4))
+    counts = tile_counts(params, n)
+    if counts.total > 40:  # keep the word short: each start sums up to depth*|W_n| tiles
+        n = 2
+        counts = tile_counts(params, n)
+    l = draw(st.integers(0, counts.N_a))
+    s = draw(st.integers(0, min(counts.N_b, counts.total - l - 1)))
+    spec = FractalSpec(params, n, l, s, draw(st.sampled_from(["keep-first", "keep-last"])))
+    depth, index = draw(st.integers(1, 60)), draw(st.integers(0, 199))
+    intervals = list(islice(iter_cover_intervals(spec, depth), index + 1))
+    return intervals[min(index, len(intervals) - 1)].start
+
+
+@settings(max_examples=150, deadline=None)
+@given(_deep_starts())
+def test_deep_starts_round_like_an_isqrt_reference(x):
+    for bits in (53, 64, 128, 300, 1000):
+        assert x.to_mpf(bits) == _reference_mpf(x, bits)
+    assert float(x) == _reference_double(x.params, *x.numerators())
+
+
+def test_deep_starts_round_without_the_exact_kernel(monkeypatch):
+    calls = []
+    kernel = quadfield._quotient
+    monkeypatch.setattr(quadfield, "_quotient", lambda *a: calls.append(a) or kernel(*a))
+    cover = iter_cover_intervals(FractalSpec(GOLDEN, 4, 1, 1), 52)
+    starts = [iv.start for iv in islice(cover, 500)]
+    assert len(starts) == 500 and starts[0].is_zero() and starts[0].fix is None
+    for x in starts[1:]:  # every nonzero start settles from its enclosure
+        assert x.fix is not None
+        x.to_mpf(128)
+        float(x)
+    assert calls == []
+    # a sum is a new element: it has no enclosure, and the kernel rounds it
+    assert (starts[1] + 0).fix is None
+    assert (starts[1] + 0).to_mpf(128) == starts[1].to_mpf(128)
+    assert calls
+
+
+def test_an_enclosure_settles_only_where_its_ends_agree(monkeypatch):
+    calls = []
+    kernel = quadfield._quotient
+    monkeypatch.setattr(quadfield, "_quotient", lambda *a: calls.append(a) or kernel(*a))
+    x, k = gamma_pow(SILVER, -7), 200
+    exact = floor_scaled(x, k)  # floor(x*2^k)
+    t = (exact + 1).bit_length() - 128 - 2  # the bits below the 130-bit quotient
+    assert (exact + 1) >> t == exact >> t
+    expected = x.to_mpf(128), float(x)
+    calls.clear()
+    tight = quadfield._element(*x.numerators(), SILVER, (exact, 1, k))
+    assert (tight.to_mpf(128), float(tight)) == expected and calls == []
+    # f just below a multiple of 2^t and f + err above it: the ends disagree at 128 bits
+    f = (exact >> t << t) - 1
+    straddling = quadfield._element(*x.numerators(), SILVER, (f, exact + 1 - f, k))
+    assert straddling.to_mpf(128) == expected[0] and len(calls) == 1
