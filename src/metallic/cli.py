@@ -7,13 +7,13 @@ validation error, 3 enumeration cap exceeded, 141 stdout closed by its reader. A
 key=value config file can preset any flag of the chosen subcommand; explicit
 flags win. METALLIC_CAP overrides the default enumeration cap.
 
-Tiling and cover rows are one format string each, filled from the integers of
-a start (u + v*gamma)/den: u/den and v/den in lowest terms and the correctly
-rounded double (`quadfield.to_double`); the length fields are formatted once
-per exponent. Rows, and render's lines (a segment's three lines count as one),
-are written ROWS_PER_WRITE at a time, one write per chunk, and --out is opened
-at the first write. No command loads mpmath: dim and estimate round their
-doubles correctly from integer logs, and --bits is the floor of the root
+Tiling and cover rows are one format string each, filled from the integers of a
+start (u + v*gamma)/den: u/den and v/den in lowest terms and the correctly rounded
+double (`quadfield.to_double`, a cover start's from its enclosure first); the length
+fields are formatted once per exponent. Rows, and render's lines (a segment's three
+lines count as one), are written ROWS_PER_WRITE at a time, one write per chunk, and
+--out is opened at the first write. No command loads mpmath: dim and estimate round
+their doubles correctly from integer logs, and --bits is the floor of the root
 bracket's fraction bits. A command loads only what it runs: estimate and render
 (and json, for dim and estimate) are imported by the commands that use them.
 """
@@ -98,7 +98,7 @@ def _exact_fields(tile: Tile, length_template: str) -> tuple:
     """The EXACT_COLUMNS values of a tile or cover interval, the length fields as one string."""
     u, v, den = tile.u, tile.v, tile.den
     g0, g1 = gcd(u, den), gcd(v, den)
-    return (u // g0, den // g0, v // g1, den // g1, to_double(tile.params, u, v, den),
+    return (u // g0, den // g0, v // g1, den // g1, to_double(tile.params, u, v, den, tile.fix),
             _length_fields(tile.params, tile.length_exponent, length_template))
 
 

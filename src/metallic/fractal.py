@@ -18,7 +18,7 @@ word positions so published figures can be reproduced exactly.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import compress
 from math import ceil, comb, log2, log10
 from typing import Iterator
 
@@ -33,7 +33,7 @@ from .errors import (
 from .limits import DEFAULT_BITS, format_count, resolve_cap
 from .quadfield import MetallicParams, QuadElement, gamma_pow
 from .substitution import tile_counts, word_at_step
-from .tiling import Tile, _fixed_powers, _inv_powers, tiling_at_step
+from .tiling import Tile, _fixed_powers, _inv_powers, start_numerators, tiling_at_step
 
 POLICIES = ("keep-first", "keep-last", "explicit")
 
@@ -152,12 +152,11 @@ def _survivor_pattern(spec: FractalSpec) -> tuple[str, tuple[bool, ...]]:
 
 def _child_layout(spec: FractalSpec, g: tuple[tuple[int, int], ...], fixed: list[int]):
     """children(e): the survivors in a parent gamma^-e long, left to right, as (du, dv, df,
-    exponent, letter): after A long and B short tiles, at A*gamma^-(e+n-1) + B*gamma^-(e+n)
-    on the `_inv_powers` table g and the `_fixed_powers` column `fixed`."""
+    exponent, letter): after A long and B short tiles (`start_numerators` in unit lengths), at
+    A*gamma^-(e+n-1) + B*gamma^-(e+n) on the `_inv_powers` table g and `_fixed_powers` fixed."""
     n, (word, kept) = spec.n, _survivor_pattern(spec)
-    longs = accumulate((letter == "a" for letter in word), initial=0)
-    before = [(a, i - a, n - (letter == "a"), letter)
-              for i, (letter, a, keep) in enumerate(zip(word, longs, kept)) if keep]
+    longs, shorts = start_numerators(word, (1, 0), (0, 1))
+    before = list(compress(zip(longs, shorts, [n - (c == "a") for c in word], word), kept))
 
     def children(e: int) -> list[tuple]:
         (a0, a1), (b0, b1), fa, fb = g[e + n - 1], g[e + n], fixed[e + n - 1], fixed[e + n]
@@ -172,13 +171,14 @@ def _walk(spec: FractalSpec, depth: int) -> Iterator[tuple]:
     x = (u + v*gamma) / q^E, E = n*depth, starts an interval gamma^-exponent long, reached by
     the survivor letters path. fix = (f, err, K), f <= x*2^K < f + err (None for rational x):
     f adds a `_fixed_powers` entry, under 3 low, per tile before x, so err = 3*depth*|W_n|, and
-    K gives x >= gamma^-E DEFAULT_BITS + 64 bits. An explicit stack frees depth from recursion.
+    K gives x >= gamma^-E DEFAULT_BITS + 64 bits. The word goes first: past its letter cap,
+    gamma may pass the double range. An explicit stack frees depth from recursion.
     """
     params, n, top = spec.params, spec.n, spec.n * depth
+    err, irrational = 3 * depth * len(_survivor_pattern(spec)[0]), params.rational_root is None
     k = DEFAULT_BITS + 64 + ceil(top * log2(params.gamma_float))
     g = _inv_powers(params, top)
     layout = _child_layout(spec, g, _fixed_powers(params, g, k))
-    err, irrational = 3 * depth * len(_survivor_pattern(spec)[0]), params.rational_root is None
     children: dict[int, list[tuple]] = {}  # by parent exponent
     stack = [(0, 0, 0, 0, "", depth)] if depth else []
     if not depth:
@@ -205,13 +205,13 @@ def _intervals(spec: FractalSpec, k: int) -> Iterator[CoverInterval]:
 def check_cover_cap(spec: FractalSpec, k: int, cap: int | None = None) -> None:
     """Raise CapExceeded when the step-n word passes the letter cap, or the depth-k cover's
     N'^k intervals pass `cap`: N' >= 2 passes it by the power (cap bit length + 1), so no
-    huge power is built; ~10^x is k*log10(N')."""
-    _survivor_pattern(spec)
+    huge power is built; ~10^x is k*log10(N'). The count goes first: it needs no word."""
     kept, limit = sum(spec.survivor_counts), resolve_cap(cap)
     if kept ** min(k, limit.bit_length() + 1) > limit:
         size = k * log10(kept)
         count = format_count(kept**k) if size < 31 else f"~10^{size:.1f}"
         raise CapExceeded(f"depth-{k} cover has {count} intervals, above cap {limit}")
+    _survivor_pattern(spec)
 
 
 def refine(cover: IntervalCover) -> IntervalCover:

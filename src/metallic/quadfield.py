@@ -20,11 +20,10 @@ k until both ends' quotients agree, and hands back that quotient with a sticky
 bit. `to_mpf` rounds it to nearest-even in integers and builds mpmath's
 normalised (sign, man, exp, bc) tuple itself; `to_double` divides it by a power
 of two, one correctly rounded int/int division, after a first try at k = 192
-that settles the tiling and cover rows. A cover walk encloses each deep start, whose bracket
-cancels about 2*n*k*log2(gamma) bits, as fix = (f, err, K): f <= value*2^K < f + err with
-err = 3*k*|W_n|. `to_mpf` and `float()` first take f's top bits + 2 and a sticky bit if
-f + err shares them (Ziv, ACM TOMS 17(3), 1991), else `_quotient`'s. Only `to_mpf` and
-`gamma_mpf` import mpmath.
+that settles the tiling rows. A cover walk encloses each start, whose bracket cancels
+about 2*n*k*log2(gamma) bits at depth k, as fix = (f, err, K): f <= value*2^K < f + err,
+err = 3*k*|W_n|. Both round from f's top bits + 2 and a sticky bit first, where f + err
+shares them (Ziv, ACM TOMS 17(3), 1991). Only `to_mpf` and `gamma_mpf` import mpmath.
 
 `MetallicParams` and `QuadElement` are `errors.Record`s, immutable and equal by
 value. `MetallicParams` caches derived values and its hash in its `__dict__`;
@@ -238,7 +237,8 @@ class QuadElement(Record):
         if bits < 53:
             raise ValueError("bits must be >= 53")
         make_mpf, mpz = _mpf_parts()
-        negative, x, e = self._settled(bits)
+        negative, x, e = (self.fix and _enclosed(self.fix, bits)
+                          or _quotient(self.params, self.u, self.v, self.den, bits))
         if not x:  # the value is 0
             return make_mpf((0, mpz(0), 0, 0))
         d = x.bit_length() - bits  # the bits rounded off
@@ -247,19 +247,7 @@ class QuadElement(Record):
         return make_mpf((int(negative), mpz(man >> tz), e + d + tz, man.bit_length() - tz))
 
     def __float__(self) -> float:
-        if self.fix is None:
-            return to_double(self.params, self.u, self.v, self.den)
-        _, x, e = self._settled(53)  # a cover start lies in (0, 1): positive, and e < 0
-        return x / (1 << -e)  # one rounding, subnormals included
-
-    def _settled(self, bits: int) -> tuple[bool, int, int]:
-        """`_quotient`'s (negative, x, e) at `bits`, from the enclosure when its ends agree."""
-        if self.fix is not None:  # f <= value*2^K < f + err, the value positive and irrational
-            f, err, k = self.fix
-            t = (f + err).bit_length() - bits - 2
-            if t > 0 and f >> t == (f + err) >> t:
-                return False, f >> t << 1 | 1, t - k - 1
-        return _quotient(self.params, self.u, self.v, self.den, bits)
+        return to_double(self.params, self.u, self.v, self.den, self.fix)
 
     def __str__(self) -> str:
         return f"{self.c0} + {self.c1}*gamma"
@@ -326,22 +314,33 @@ def _quotient(params: MetallicParams, u: int, v: int, den: int,
         k *= 2
 
 
-def to_double(params: MetallicParams, u: int, v: int, den: int) -> float:
-    """The correctly rounded double of (u + v*gamma)/den, for integers u, v and den > 0.
-    value*2*den*2^K lies between lo and lo + v at K = FIXED_BITS (at lo when v = 0 or
-    sqrt(D) is an integer), and int/int division rounds correctly and monotonically: one
-    nonzero double at both ends is the answer. Otherwise `_quotient` decides."""
-    lo = ((2 * u + params.p * v) << FIXED_BITS) + v * params.sqrt_d_fixed
-    # tried where the bracket is under 2^-55 of the value wide, or is the value (v = 0)
-    if v.bit_length() + 55 < lo.bit_length() or not v:
-        scaled_den = den << (FIXED_BITS + 1)
-        try:
-            f = lo / scaled_den
-            # an underflow to 0.0 may carry the wrong sign, unless lo is the value
-            if f == (lo + v) / scaled_den and (f or not v):
-                return f
-        except OverflowError:  # an end may pass the double range where the value does not
-            pass
-    negative, x, e = _quotient(params, u, v, den, 53)
+def _enclosed(fix: tuple[int, int, int], bits: int) -> tuple[bool, int, int] | None:
+    """`_quotient`'s (negative, x, e) at `bits` for a positive value enclosed by fix = (f,
+    err, K), f <= value*2^K < f + err, when both ends share their top bits + 2; else None."""
+    f, err, k = fix
+    t = (f + err).bit_length() - bits - 2
+    return (False, f >> t << 1 | 1, t - k - 1) if t > 0 and f >> t == (f + err) >> t else None
+
+
+def to_double(params: MetallicParams, u: int, v: int, den: int, fix=None) -> float:
+    """The correctly rounded double of (u + v*gamma)/den, for integers u, v and den > 0, from
+    a cover start's enclosure fix first. Else value*2*den*2^K lies between lo and lo + v at
+    K = FIXED_BITS (at lo when v = 0 or sqrt(D) is an integer), and int/int division rounds
+    correctly and monotonically: one nonzero double at both ends is the answer."""
+    settled = fix and _enclosed(fix, 53)
+    if not settled:
+        lo = ((2 * u + params.p * v) << FIXED_BITS) + v * params.sqrt_d_fixed
+        # tried where the bracket is under 2^-55 of the value wide, or is the value (v = 0)
+        if v.bit_length() + 55 < lo.bit_length() or not v:
+            scaled_den = den << (FIXED_BITS + 1)
+            try:
+                f = lo / scaled_den
+                # an underflow to 0.0 may carry the wrong sign, unless lo is the value
+                if f == (lo + v) / scaled_den and (f or not v):
+                    return f
+            except OverflowError:  # an end may pass the double range where the value does not
+                pass
+        settled = _quotient(params, u, v, den, 53)
+    negative, x, e = settled
     f = x / (1 << -e) if e < 0 else float(x << e)  # one rounding, subnormals included
     return -f if negative else f

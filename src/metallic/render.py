@@ -101,9 +101,9 @@ def _cover_row(spec: FractalSpec, k: int, label: str) -> Row:
     params = spec.params
     den = params.q ** (spec.n * k)
     lengths = _inv_powers(params, spec.n * k)  # numerators of gamma^-e over den
-    return label, ((to_double(params, u, v, den),
+    return label, ((to_double(params, u, v, den, fix),
                     to_double(params, u + lengths[e][0], v + lengths[e][1], den), path[-1], e)
-                   for u, v, _, e, path in _walk(spec, k))
+                   for u, v, fix, e, path in _walk(spec, k))
 
 
 def _ordinal(k: int) -> str:

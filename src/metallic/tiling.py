@@ -5,8 +5,9 @@ of length gamma^-n, laid out left to right in word order. A tile holds the
 integers of its start (u + v*gamma)/q^n; the exact field elements `.start`,
 `.length` and `.end` are built on access, to check the unit length exactly.
 
-`start_numerators` sums lengths from `_inv_powers`, the table of q^E * gamma^-m, for
-tilings and render; `_fixed_powers`, gamma^-m * 2^K less under 3, encloses cover starts.
+`start_numerators`, running sums of `_inv_powers` lengths (the table of q^E * gamma^-m),
+is the one layout rule, for tilings, render and the cover walk's word in units of long
+and short tiles. `_fixed_powers`, gamma^-m * 2^K less under 3, encloses cover starts.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def start_numerators(letters: str, long_len: tuple[int, int],
 
     The lengths are integer pairs (c0, c1) for c0 + c1*gamma, such as the
     `_inv_powers` numerators of gamma^-m over a common q^E, and us and vs are
-    lazy running sums of them: no Fraction arithmetic is needed per letter.
+    lazy running sums of them (counts of long and short letters at (1, 0), (0, 1)).
     """
     step0 = {"a": long_len[0], "b": short_len[0]}
     step1 = {"a": long_len[1], "b": short_len[1]}

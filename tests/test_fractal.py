@@ -25,6 +25,8 @@ from metallic import (
     survivors,
     tile_counts,
 )
+from metallic import fractal
+from metallic.estimate import box_dimension
 from metallic.fractal import _child_layout, _survivor_pattern
 from metallic.limits import DEFAULT_BITS
 from metallic.tiling import _fixed_powers, _inv_powers, start_numerators
@@ -271,6 +273,29 @@ def test_cover_cap():
         cover_at_depth(SPEC_411, 10, cap=100)
     with pytest.raises(CapExceeded, match=r"\Adepth-20000 cover has ~10\^6020\.6 intervals"):
         cover_at_depth(FractalSpec(GOLDEN, 3, 1, 0), 20000)
+
+
+def test_a_rejected_count_builds_no_word(monkeypatch):
+    # |W_34| = 9,227,465 letters pass the letter cap, but N' = |W_34| - 1 squared does not
+    # pass the cover cap: that check needs only the counts, so the word is never built
+    def no_word(*args, **kwargs):
+        raise AssertionError("built the step word")
+    monkeypatch.setattr(fractal, "word_at_step", no_word)
+    spec = FractalSpec(GOLDEN, 34, 1, 0)
+    with pytest.raises(CapExceeded, match=r"\Adepth-2 cover has 85146091871296 intervals"):
+        cover_at_depth(spec, 2)
+    with pytest.raises(CapExceeded, match=r"\Adepth-5 cover"):
+        box_dimension(spec, 4)
+
+
+@pytest.mark.parametrize("pq", [(10**400, 1), (1, 10**700)])
+@pytest.mark.parametrize("depth", [0, 1])
+def test_a_walk_past_the_double_range_hits_the_letter_cap(pq, depth):
+    # gamma does not fit a double, and neither does the step word fit its letter cap: the
+    # walk checks the word before it reads gamma as a float
+    cover = iter_cover_intervals(FractalSpec(MetallicParams(*pq), 2, 1, 0), depth)
+    with pytest.raises(CapExceeded, match=r"\A\|W_2\| = ~10\^\d+\.0 letters exceeds cap"):
+        next(cover)
 
 
 def test_refine_respects_the_cap(monkeypatch):

@@ -637,13 +637,15 @@ def test_deep_starts_round_without_the_exact_kernel(monkeypatch):
     calls = []
     kernel = quadfield._quotient
     monkeypatch.setattr(quadfield, "_quotient", lambda *a: calls.append(a) or kernel(*a))
-    cover = iter_cover_intervals(FractalSpec(GOLDEN, 4, 1, 1), 52)
-    starts = [iv.start for iv in islice(cover, 500)]
+    intervals = list(islice(iter_cover_intervals(FractalSpec(GOLDEN, 4, 1, 1), 52), 500))
+    starts = [iv.start for iv in intervals]
     assert len(starts) == 500 and starts[0].is_zero() and starts[0].fix is None
     for x in starts[1:]:  # every nonzero start settles from its enclosure
         assert x.fix is not None
         x.to_mpf(128)
         float(x)
+    for iv in intervals[1:]:  # as `cover` and `render` rows round them, from the integers
+        assert to_double(GOLDEN, iv.u, iv.v, iv.den, iv.fix) == float(iv.start)
     assert calls == []
     # a sum is a new element: it has no enclosure, and the kernel rounds it
     assert (starts[1] + 0).fix is None
