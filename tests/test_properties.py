@@ -1,9 +1,10 @@
 """Property tests of the shared layout: step-n tilings and removal covers.
 
 The tiling places letters with one running sum of integer lengths
-(`tiling.start_numerators`); the cover walker places each survivor from its
-counts of long and short tiles before it (`fractal._child_layout`), which must
-equal those running sums. These properties check what both lay out against
+(`tiling.start_numerators`); the cover walker runs the same sums once in units
+of one long and one short tile and places each survivor from those counts
+(`fractal._child_layout`), which must equal the running sums of the real
+lengths. These properties check what both lay out against
 exact field arithmetic that does not use them: signs of QuadElement
 differences, and sums of `gamma_pow` lengths. The walker's box counts are
 checked the same way, and the dimension against removal counts.
