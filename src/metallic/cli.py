@@ -3,9 +3,9 @@
 Subcommands: word, tiling, dim, cover, estimate, render, table. COMMANDS is the one
 place where a command or a flag is declared: its handler, help line and flag rows.
 Data goes to stdout (or --out), diagnostics to stderr. Exit codes: 0 success, 2
-validation error, 3 enumeration cap exceeded, 141 stdout closed by its reader. A
-key=value config file can preset any flag of the chosen subcommand; explicit
-flags win. METALLIC_CAP overrides the default enumeration cap.
+validation error, 3 enumeration cap exceeded or memory exhausted, 141 stdout closed by
+its reader. A key=value config file can preset any flag of the chosen subcommand;
+explicit flags win. METALLIC_CAP overrides the default enumeration cap.
 
 Tiling and cover rows are one format string each, filled from the integers of a
 start (u + v*gamma)/den: u/den and v/den in lowest terms and the correctly rounded
@@ -408,8 +408,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         handler(args, sink)
         sink.flush()
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapExceeded, MemoryError) as exc:  # a one-survivor spec passes every count cap
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

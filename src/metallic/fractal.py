@@ -3,16 +3,17 @@
 A spec (p, q, n, l, s) removes l long and s short tiles from the step-n
 tiling, then recursively re-tiles every surviving interval with the same
 (scaled) survivor pattern. The depth-k cover is the set of intervals left
-after k rounds; its lengths are pure powers of gamma. One integer walk hands
-each interval out as its start (u + v*gamma)/q^(n*k), length exponent and
-path of tile kinds, held as integers in the tile type, with a fixed-point
-enclosure of the start that rounds it without cancellation. Children are laid
-out by `_child_layout`; every materialized cover comes from `cover_at_depth`.
+after k rounds; its lengths are pure powers of gamma. One integer walk hands each
+interval out as a `CoverInterval`: its start (u + v*gamma)/q^(n*k), length exponent
+and path of tile kinds, held as integers, with a fixed-point enclosure of the start
+that rounds it without cancellation. `_child_layout` lays out children for the walk,
+render's rows and the box counter; every materialized cover comes from `cover_at_depth`.
 
 Which tiles get removed is a free choice (the dimension only sees the counts):
 the default "keep-first" policy drops the last l long and last s short tiles
 in word order, "keep-last" drops the first ones, and "explicit" removes named
-word positions so published figures can be reproduced exactly.
+word positions so published figures can be reproduced exactly. `_survivor_pattern`
+builds a spec's step word once and is the one place its removed positions are decided.
 """
 
 from __future__ import annotations
@@ -22,14 +23,8 @@ from itertools import compress
 from math import ceil, comb, log2, log10
 from typing import Iterator
 
-from .errors import (
-    CapExceeded,
-    EmptyFractal,
-    InvalidRemovalCount,
-    PolicyIndexMismatch,
-    Record,
-    ValidationError,
-)
+from .errors import (CapExceeded, EmptyFractal, InvalidRemovalCount, PolicyIndexMismatch,
+                     Record, ValidationError)
 from .limits import DEFAULT_BITS, format_count, resolve_cap
 from .quadfield import MetallicParams, QuadElement, gamma_pow
 from .substitution import tile_counts, word_at_step
@@ -62,38 +57,9 @@ class FractalSpec(Record):
             if indices is None:
                 raise PolicyIndexMismatch("explicit policy requires removal indices")
             self.__dict__["indices"] = tuple(sorted(indices))
-            self._check_explicit_indices()
+            _survivor_pattern(self)  # checks the indices against the word
         elif indices is not None:
             raise PolicyIndexMismatch("indices are only valid with the explicit policy")
-
-    def _check_explicit_indices(self) -> None:
-        word = word_at_step(self.params, self.n)
-        idx = self.indices
-        if len(set(idx)) != len(idx):
-            raise PolicyIndexMismatch("removal indices must be distinct")
-        if idx and not (0 <= idx[0] and idx[-1] < len(word)):
-            raise PolicyIndexMismatch(f"removal indices must lie in 0..{len(word) - 1}")
-        removed_long = sum(1 for i in idx if word[i] == "a")
-        removed_short = len(idx) - removed_long
-        if removed_long != self.l or removed_short != self.s:
-            raise PolicyIndexMismatch(
-                f"indices remove {removed_long} long / {removed_short} short tiles, "
-                f"spec says {self.l} / {self.s}"
-            )
-
-
-def removed_positions(spec: FractalSpec) -> frozenset[int]:
-    """Word positions deleted from the step-n tiling under the spec's policy."""
-    if spec.policy == "explicit":
-        return frozenset(spec.indices)
-    word = word_at_step(spec.params, spec.n)
-    longs = [i for i, ch in enumerate(word) if ch == "a"]
-    shorts = [i for i, ch in enumerate(word) if ch == "b"]
-    if spec.policy == "keep-first":
-        picked = longs[len(longs) - spec.l:] + shorts[len(shorts) - spec.s:]
-    else:  # keep-last
-        picked = longs[: spec.l] + shorts[: spec.s]
-    return frozenset(picked)
 
 
 def survivors(spec: FractalSpec) -> tuple[Tile, ...]:
@@ -144,9 +110,27 @@ class IntervalCover(Record):
 
 @lru_cache(maxsize=128)
 def _survivor_pattern(spec: FractalSpec) -> tuple[str, tuple[bool, ...]]:
-    """The step-n word and its kept mask, True at each survivor's position."""
+    """The step-n word and its kept mask, True at each survivor's position: the one place
+    a spec's removed positions are decided. Explicit indices must be distinct, then lie in
+    the word, then remove l long and s short tiles."""
     word = word_at_step(spec.params, spec.n)
-    removed = removed_positions(spec)
+    if spec.policy == "explicit":
+        removed = spec.indices
+        if len(set(removed)) != len(removed):
+            raise PolicyIndexMismatch("removal indices must be distinct")
+        if removed and not (0 <= removed[0] and removed[-1] < len(word)):
+            raise PolicyIndexMismatch(f"removal indices must lie in 0..{len(word) - 1}")
+        long_short = sum(word[i] == "a" for i in removed), sum(word[i] == "b" for i in removed)
+        if long_short != (spec.l, spec.s):
+            raise PolicyIndexMismatch("indices remove {} long / {} short tiles, spec says {} / {}"
+                                      .format(*long_short, spec.l, spec.s))
+    else:
+        longs, shorts = ([i for i, ch in enumerate(word) if ch == c] for c in "ab")
+        if spec.policy == "keep-first":  # drops the last l long and last s short tiles
+            removed = longs[len(longs) - spec.l:] + shorts[len(shorts) - spec.s:]
+        else:  # keep-last drops the first ones
+            removed = longs[: spec.l] + shorts[: spec.s]
+    removed = frozenset(removed)
     return word, tuple(i not in removed for i in range(len(word)))
 
 
@@ -158,6 +142,7 @@ def _child_layout(spec: FractalSpec, g: tuple[tuple[int, int], ...], fixed: list
     longs, shorts = start_numerators(word, (1, 0), (0, 1))
     before = list(compress(zip(longs, shorts, [n - (c == "a") for c in word], word), kept))
 
+    @lru_cache(maxsize=None)  # each exponent's list is built once, then shared
     def children(e: int) -> list[tuple]:
         (a0, a1), (b0, b1), fa, fb = g[e + n - 1], g[e + n], fixed[e + n - 1], fixed[e + n]
         return [(a * a0 + b * b0, a * a1 + b * b1, a * fa + b * fb, e + x, letter)
@@ -165,41 +150,34 @@ def _child_layout(spec: FractalSpec, g: tuple[tuple[int, int], ...], fixed: list
     return children
 
 
-def _walk(spec: FractalSpec, depth: int) -> Iterator[tuple]:
-    """The cover at `depth` left to right, in integers: (u, v, fix, exponent, path).
+def _walk(spec: FractalSpec, depth: int) -> Iterator[CoverInterval]:
+    """The cover at `depth` left to right, as intervals with integer starts and enclosures.
 
     x = (u + v*gamma) / q^E, E = n*depth, starts an interval gamma^-exponent long, reached by
     the survivor letters path. fix = (f, err, K), f <= x*2^K < f + err (None for rational x):
     f adds a `_fixed_powers` entry, under 3 low, per tile before x, so err = 3*depth*|W_n|, and
     K gives x >= gamma^-E DEFAULT_BITS + 64 bits. The word goes first: past its letter cap,
-    gamma may pass the double range. An explicit stack frees depth from recursion.
+    gamma may pass the double range. An explicit stack frees depth from recursion and holds
+    one path of the tree, so a cover streams even when no level of it fits in memory.
     """
     params, n, top = spec.params, spec.n, spec.n * depth
     err, irrational = 3 * depth * len(_survivor_pattern(spec)[0]), params.rational_root is None
     k = DEFAULT_BITS + 64 + ceil(top * log2(params.gamma_float))
-    g = _inv_powers(params, top)
-    layout = _child_layout(spec, g, _fixed_powers(params, g, k))
-    children: dict[int, list[tuple]] = {}  # by parent exponent
+    g, den = _inv_powers(params, top), params.q**top
+    children = _child_layout(spec, g, _fixed_powers(params, g, k))
     stack = [(0, 0, 0, 0, "", depth)] if depth else []
     if not depth:
-        yield 0, 0, None, 0, ""
+        yield CoverInterval(params, "", 0, 0, den, 0)
     while stack:  # every entry has a level below it
         u, v, f, e, path, left = stack.pop()
-        if e not in children:
-            children[e] = layout(e)
         if left > 1:
             stack.extend([(u + du, v + dv, f + df, x, path + letter, left - 1)
-                          for du, dv, df, x, letter in reversed(children[e])])
+                          for du, dv, df, x, letter in reversed(children(e))])
             continue
-        for du, dv, df, x, letter in children[e]:
+        for du, dv, df, x, letter in children(e):
             w = v + dv
-            yield u + du, w, (f + df, err, k) if w and irrational else None, x, path + letter
-
-
-def _intervals(spec: FractalSpec, k: int) -> Iterator[CoverInterval]:
-    params, den = spec.params, spec.params.q ** (spec.n * k)
-    for u, v, fix, e, path in _walk(spec, k):
-        yield CoverInterval(params, path, u, v, den, e, fix)
+            yield CoverInterval(params, path + letter, u + du, w, den, x,
+                                (f + df, err, k) if w and irrational else None)
 
 
 def check_cover_cap(spec: FractalSpec, k: int, cap: int | None = None) -> None:
@@ -226,7 +204,7 @@ def cover_at_depth(spec: FractalSpec, k: int, cap: int | None = None) -> Interva
     if k < 0:
         raise ValueError("depth must be >= 0")
     check_cover_cap(spec, k, cap)
-    return IntervalCover(spec, k, tuple(_intervals(spec, k)))
+    return IntervalCover(spec, k, tuple(_walk(spec, k)))
 
 
 def cover_summary(spec: FractalSpec, k: int) -> IntervalCover:
@@ -240,7 +218,7 @@ def iter_cover_intervals(spec: FractalSpec, k: int) -> Iterator[CoverInterval]:
     """Stream the depth-k cover left to right without materializing it."""
     if k < 0:
         raise ValueError("depth must be >= 0")
-    return _intervals(spec, k)
+    return _walk(spec, k)
 
 
 def gaps(cover: IntervalCover) -> tuple[tuple[QuadElement, QuadElement], ...]:

@@ -2,14 +2,15 @@
 
 Rows of labeled segments, in the style of the usual inflation-rule pictures:
 one row per step (or per removal stage), tick marks at exact endpoints, tile
-letters above and length labels below. Segment ends come straight from the
-exact integer numerators of `tiling.start_numerators` or the cover walker in
-`fractal`. A figure is a stream of lines: `tiling_stack_lines` and
-`construction_lines` check every cap before they hand the stream back, then
-walk, lay out and emit one row at a time, so one row's walk and kept labels
-are held, never the document. One row loop fills either format's line
-templates. Output is plain text assembled deterministically, so identical
-inputs give byte-identical documents.
+letters above and length labels below. Segment ends come straight from exact
+integer numerators: a tiling row's from `tiling._step_layout`, and cover row k's
+from the children (`fractal._child_layout`) of row k-1's intervals, on one
+`_inv_powers` table over q^(n*k_max), so each level is laid out once. A figure is
+a stream of lines: `tiling_stack_lines` and `construction_lines` check every cap
+before they hand the stream back, then lay out and emit one row at a time, so the
+row above and one row's kept labels are held, never the document. One row loop
+fills either format's line templates. Output is plain text assembled
+deterministically, so identical inputs give byte-identical documents.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from collections.abc import Iterator
 from itertools import accumulate, chain, pairwise, repeat
 
 from .errors import CapExceeded, Record
-from .fractal import FractalSpec, _walk, cover_at_depth  # noqa: F401
+from .fractal import FractalSpec, _child_layout, cover_at_depth  # noqa: F401
 from .limits import RENDER_CAP, format_count
 from .quadfield import MEAN_SYMBOLS, MetallicParams, to_double
-from .substitution import tile_counts, word_at_step
-from .tiling import _inv_powers, start_numerators, tiling_at_step  # noqa: F401
+from .substitution import tile_counts
+from .tiling import _inv_powers, _step_layout, tiling_at_step  # noqa: F401
 
 # Rows are laid out from integer numerators, not from tiling_at_step or
 # cover_at_depth; both names stay bound here because bench/spans.py wraps
@@ -88,22 +89,25 @@ class RenderPlan(Record):
 
 
 def _tiling_row(params: MetallicParams, n: int, label: str) -> Row:
-    word = word_at_step(params, n, cap=RENDER_CAP)
-    lengths = _inv_powers(params, n)  # step 0 is "b", so lengths[-1] is never used
-    us, vs = start_numerators(word, lengths[n - 1], lengths[n])
-    # tile i runs from boundary i to boundary i + 1; the last boundary is 1
-    ends = pairwise(map(to_double, repeat(params), us, vs, repeat(params.q**n)))
-    exponents = {"a": n - 1, "b": n}
-    return label, ((x0, x1, letter, exponents[letter]) for letter, (x0, x1) in zip(word, ends))
+    word, us, vs, dens, exponents = _step_layout(params, n, RENDER_CAP)
+    ends = pairwise(map(to_double, repeat(params), us, vs, dens))
+    return label, ((x0, x1, letter, e) for letter, (x0, x1), e in zip(word, ends, exponents))
 
 
-def _cover_row(spec: FractalSpec, k: int, label: str) -> Row:
-    params = spec.params
-    den = params.q ** (spec.n * k)
-    lengths = _inv_powers(params, spec.n * k)  # numerators of gamma^-e over den
-    return label, ((to_double(params, u, v, den, fix),
-                    to_double(params, u + lengths[e][0], v + lengths[e][1], den), path[-1], e)
-                   for u, v, fix, e, path in _walk(spec, k))
+def _cover_rows(spec: FractalSpec, k_max: int) -> Iterator[Row]:
+    """Rows 1..k_max, row k from the children of row k-1's intervals, all over q^(n*k_max):
+    `to_double` rounds correctly, so the common denominator changes no printed byte."""
+    params, top = spec.params, spec.n * k_max
+    g, den = _inv_powers(params, top), params.q**top
+    children = _child_layout(spec, g, [0] * len(g))  # no enclosures
+    row = [(0, 0, 0, "")]  # (u, v, exponent, letter) of each interval
+    for k in range(1, k_max + 1):
+        row = ((u + du, v + dv, x, letter)
+               for u, v, e, _ in row for du, dv, _, x, letter in children(e))
+        row = list(row) if k < k_max else row  # the last row is streamed, not held
+        yield f"{_ordinal(k)} removal", (
+            (to_double(params, u, v, den), to_double(params, u + g[x][0], v + g[x][1], den),
+             letter, x) for u, v, x, letter in row)
 
 
 def _ordinal(k: int) -> str:
@@ -139,8 +143,7 @@ def construction_lines(spec: FractalSpec, k_max: int, plan: RenderPlan) -> Itera
         raise CapExceeded(
             f"cover rows of depth 1..{k_max} draw more than render cap {RENDER_CAP} segments")
     tiling = _tiling_row(spec.params, spec.n, "tiling")  # checks the word cap
-    covers = (_cover_row(spec, k, f"{_ordinal(k)} removal") for k in range(1, k_max + 1))
-    return _emit(chain([tiling], covers), k_max + 1, plan, spec.params)
+    return _emit(chain([tiling], _cover_rows(spec, k_max)), k_max + 1, plan, spec.params)
 
 
 def render_tiling_stack(params: MetallicParams, n_max: int, plan: RenderPlan) -> str:

@@ -6,8 +6,9 @@ integers of its start (u + v*gamma)/q^n; the exact field elements `.start`,
 `.length` and `.end` are built on access, to check the unit length exactly.
 
 `start_numerators`, running sums of `_inv_powers` lengths (the table of q^E * gamma^-m),
-is the one layout rule, for tilings, render and the cover walk's word in units of long
-and short tiles. `_fixed_powers`, gamma^-m * 2^K less under 3, encloses cover starts.
+is the one layout rule: of the step-n word in `_step_layout`, for tilings and render's
+tiling rows, and of the survivor pattern in units of long and short tiles, for covers.
+`_fixed_powers`, gamma^-m * 2^K less under 3, encloses cover starts.
 """
 
 from __future__ import annotations
@@ -102,12 +103,16 @@ def tiling_at_step(params: MetallicParams, n: int, cap: int | None = None) -> Ti
     count = tile_counts(params, n).total
     if count > limit:
         raise CapExceeded(f"step-{n} tiling has {format_count(count)} tiles, above cap {limit}")
-    word = word_at_step(params, n, cap=limit)
+    return Tiling(params, n, tuple(map(Tile, repeat(params), *_step_layout(params, n, limit))))
+
+
+def _step_layout(params: MetallicParams, n: int, cap: int) -> tuple:
+    """The step-n tiling in lazy columns of `Tile`'s arguments after params: the word (at most
+    `cap` letters), numerators u, v of boundaries 0..|W_n| (the last is 1) over den q^n, exponents."""
+    word = word_at_step(params, n, cap=cap)
     lengths = _inv_powers(params, n)  # step 0 is "b", so lengths[-1] is never used
-    us, vs = start_numerators(word[:-1], lengths[n - 1], lengths[n])
-    exponents = {"a": n - 1, "b": n}
-    return Tiling(params, n, tuple(map(Tile, repeat(params), word, us, vs,
-                                       repeat(params.q**n), map(exponents.__getitem__, word))))
+    us, vs = start_numerators(word, lengths[n - 1], lengths[n])
+    return word, us, vs, repeat(params.q**n), map({"a": n - 1, "b": n}.__getitem__, word)
 
 
 def _inv_powers(params: MetallicParams, e_max: int,

@@ -25,7 +25,7 @@ from metallic import (
     word_at_step,
     word_length,
 )
-from metallic.cli import build_parser, main
+from metallic.cli import COVER_COLUMNS, build_parser, main
 from metallic.dimension import _root_bracket
 from test_acceptance import _criterion3_grid
 
@@ -470,6 +470,36 @@ def test_cap_error_on_a_huge_count_is_one_short_line(argv):
 
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+
+
+def _limit_address_space_1gb():
+    resource.setrlimit(resource.RLIMIT_AS, (1_000_000_000, 1_000_000_000))
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    # one survivor per level passes every count cap, so only memory stops the depth: the
+    # walk's and the box counter's tables of n*depth growing integers do not fit in 1 GB
+    (["cover", "--n", "2", "--remove-short", "1", "--depth", "123456"],
+     ",".join(COVER_COLUMNS) + "\n"),  # the header goes out before the walk's table
+    (["estimate", "--n", "2", "--remove-short", "1", "--depth", "40000"], ""),
+], ids=["cover", "estimate"])
+def test_memory_exhausted_is_one_line_and_exit_3(argv, stdout):
+    result = subprocess.run([sys.executable, "-m", "metallic.cli", *argv], env=CHILD_ENV,
+                            capture_output=True, text=True, timeout=60,
+                            preexec_fn=_limit_address_space_1gb)
+    assert (result.returncode, result.stdout, result.stderr) == (3, stdout,
+                                                                 "error: out of memory\n")
+
+
+def test_one_survivor_render_at_the_render_cap_depth():
+    # 10,000 one-segment cover rows, each refined from the row above: the depth the render
+    # cap allows, which laying out every row by its own walk took hours to reach
+    result = subprocess.run([sys.executable, "-m", "metallic.cli", "render", "--n", "2",
+                             "--remove-long", "1", "--depth", "10000"], env=CHILD_ENV,
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.count('<g class="row"') == 10001
+    assert result.stdout.count('class="seg"') == 2 + 10000  # the tiling row is ab
 
 
 HUGE_P = "1000000000000"  # 10^12: an image a^p b^q would need a terabyte

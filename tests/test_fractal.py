@@ -24,6 +24,7 @@ from metallic import (
     refine,
     survivors,
     tile_counts,
+    word_at_step,
 )
 from metallic import fractal
 from metallic.estimate import box_dimension
@@ -256,16 +257,40 @@ def test_validation_errors():
 
 
 def test_explicit_index_validation():
-    with pytest.raises(PolicyIndexMismatch):
+    counts = r"\Aindices remove {} long / {} short tiles, spec says 1 / 0\Z"
+    with pytest.raises(PolicyIndexMismatch, match=counts.format(0, 1)):
         FractalSpec(SILVER, 2, 1, 0, policy="explicit", indices=(2,))  # position 2 is b
-    with pytest.raises(PolicyIndexMismatch):
+    with pytest.raises(PolicyIndexMismatch, match=counts.format(2, 0)):
         FractalSpec(SILVER, 2, 1, 0, policy="explicit", indices=(0, 1))
-    with pytest.raises(PolicyIndexMismatch):
+    with pytest.raises(PolicyIndexMismatch, match=r"\Aremoval indices must lie in 0\.\.2\Z"):
         FractalSpec(SILVER, 2, 1, 0, policy="explicit", indices=(9,))
+    # distinct first, then in range: a repeated index out of range names the repeat
+    with pytest.raises(PolicyIndexMismatch, match=r"\Aremoval indices must be distinct\Z"):
+        FractalSpec(SILVER, 2, 1, 0, policy="explicit", indices=(9, 9))
+    # in range before the counts: an index past the word is never looked up
+    with pytest.raises(PolicyIndexMismatch, match=r"\Aremoval indices must lie in 0\.\.2\Z"):
+        FractalSpec(SILVER, 2, 1, 0, policy="explicit", indices=(0, 9))
     with pytest.raises(PolicyIndexMismatch):
         FractalSpec(SILVER, 2, 1, 0, policy="explicit")
     with pytest.raises(PolicyIndexMismatch):
         FractalSpec(SILVER, 2, 1, 0, indices=(1,))  # indices without explicit
+
+
+@pytest.mark.parametrize("policy, indices, removed", [
+    ("keep-first", None, 6), ("keep-last", None, 0), ("explicit", (1,), 1)])
+def test_survivor_pattern_builds_the_step_word_once(monkeypatch, policy, indices, removed):
+    # the pattern decides the removals, explicit indices checked, from the one word it builds
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return word_at_step(*args, **kwargs)
+    monkeypatch.setattr(fractal, "word_at_step", counted)
+    _survivor_pattern.cache_clear()
+    spec = FractalSpec(SILVER, 3, 1, 0, policy=policy, indices=indices)
+    word, kept = _survivor_pattern(spec)
+    assert calls == [(SILVER, 3)]
+    assert (word, kept) == ("aabaaba", tuple(i != removed for i in range(7)))
 
 
 def test_cover_cap():
