@@ -5,7 +5,8 @@ place where a command or a flag is declared: its handler, help line and flag row
 Data goes to stdout (or --out), diagnostics to stderr. Exit codes: 0 success, 2
 validation error, 3 enumeration cap exceeded or memory exhausted, 141 stdout closed by
 its reader. A key=value config file can preset any flag of the chosen subcommand;
-explicit flags win. METALLIC_CAP overrides the default enumeration cap.
+explicit flags win. --cap (else METALLIC_CAP, else 10^7) caps the whole run: a given --cap is
+set as METALLIC_CAP while the command runs, so every check, the step word's too, reads it.
 
 Tiling and cover rows are one format string each, filled from the integers of a
 start (u + v*gamma)/den: u/den and v/den in lowest terms and the correctly rounded
@@ -167,7 +168,7 @@ def cmd_word(args: argparse.Namespace, out: io.TextIOBase) -> None:
 
 def cmd_tiling(args: argparse.Namespace, out: io.TextIOBase) -> None:
     params = MetallicParams(args.p, args.q)
-    tiles = tiling_at_step(params, args.n, cap=args.cap).tiles
+    tiles = tiling_at_step(params, args.n).tiles
     if args.format == "csv":
         out.write(",".join(("index", "kind", *EXACT_COLUMNS)) + "\n")
         _write_rows(out, (TILING_CSV_ROW.format(i, t.kind_path, *_exact_fields(t, CSV_LENGTH))
@@ -210,7 +211,7 @@ def cmd_dim(args: argparse.Namespace, out: io.TextIOBase) -> None:
 
 def cmd_cover(args: argparse.Namespace, out: io.TextIOBase) -> None:
     spec = _make_spec(args)
-    check_cover_cap(spec, args.depth, args.cap)
+    check_cover_cap(spec, args.depth)
     intervals = enumerate(iter_cover_intervals(spec, args.depth))
     if args.format == "csv":
         out.write(",".join(COVER_COLUMNS) + "\n")
@@ -232,7 +233,7 @@ def cmd_estimate(args: argparse.Namespace, out: io.TextIOBase) -> None:
         raise ValidationError("--depth must be >= 1")
     # S_k = Y^k: the cover-sum exponent is the dimension's own double, so one root serves both
     empirical = analytic = empirical_dimension(cover_summary(spec, args.depth), bits=args.bits)
-    fit = box_dimension(spec, max(4, args.depth), cap=args.cap, bits=args.bits)
+    fit = box_dimension(spec, max(4, args.depth), bits=args.bits)
     payload = {
         "empirical_dim": empirical,
         "box_dim": fit.slope,
@@ -391,10 +392,8 @@ def main(argv: list[str] | None = None) -> int:
     setting = "--"
     try:
         check_bits(args.bits)
-        if args.cap is not None:
-            resolve_cap(args.cap)
-        setting = "METALLIC_CAP: "
-        args.cap = resolve_cap(args.cap)  # without --cap, the variable is read here, once
+        setting = "--" if args.cap is not None else "METALLIC_CAP: "
+        resolve_cap(args.cap)  # --cap, else the variable, checked before any output
     except (ValidationError, ValueError) as exc:
         print(f"error: {setting}{exc}", file=sys.stderr)
         return 2
@@ -405,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
     int_digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if int_digits is not None:
         sys.set_int_max_str_digits(0)
+    env_cap = os.environ.get("METALLIC_CAP")
+    if args.cap is not None:  # the run's cap, which every check reads from the variable
+        os.environ["METALLIC_CAP"] = str(args.cap)
     try:
         handler(args, sink)
         sink.flush()
@@ -429,6 +431,9 @@ def main(argv: list[str] | None = None) -> int:
             sink.close()
         if int_digits is not None:
             sys.set_int_max_str_digits(int_digits)
+        os.environ.pop("METALLIC_CAP", None)
+        if env_cap is not None:
+            os.environ["METALLIC_CAP"] = env_cap
     return 0
 
 

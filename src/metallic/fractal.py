@@ -7,7 +7,7 @@ after k rounds; its lengths are pure powers of gamma. One integer walk hands eac
 interval out as a `CoverInterval`: its start (u + v*gamma)/q^(n*k), length exponent
 and path of tile kinds, held as integers, with a fixed-point enclosure of the start
 that rounds it without cancellation. `_child_layout` lays out children for the walk,
-render's rows and the box counter; every materialized cover comes from `cover_at_depth`.
+render's rows and the box counter; `cover_at_depth` or a first read walks a cover's intervals.
 
 Which tiles get removed is a free choice (the dimension only sees the counts):
 the default "keep-first" policy drops the last l long and last s short tiles
@@ -18,14 +18,13 @@ builds a spec's step word once and is the one place its removed positions are de
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
-from math import ceil, comb, log2, log10
+from math import ceil, comb, log2
 from typing import Iterator
 
-from .errors import (CapExceeded, EmptyFractal, InvalidRemovalCount, PolicyIndexMismatch,
-                     Record, ValidationError)
-from .limits import DEFAULT_BITS, format_count, resolve_cap
+from .errors import EmptyFractal, InvalidRemovalCount, PolicyIndexMismatch, Record, ValidationError
+from .limits import DEFAULT_BITS, check_cap, format_count
 from .quadfield import MetallicParams, QuadElement, gamma_pow
 from .substitution import tile_counts, word_at_step
 from .tiling import Tile, _fixed_powers, _inv_powers, start_numerators, tiling_at_step
@@ -44,15 +43,16 @@ class FractalSpec(Record):
         if policy not in POLICIES:
             raise ValidationError(f"policy must be one of {POLICIES}, got {policy!r}")
         counts = tile_counts(params, n)
-        if not (0 <= l <= counts.N_a):
-            raise InvalidRemovalCount(f"l={l} long removals out of range 0..{counts.N_a}")
-        if not (0 <= s <= counts.N_b):
-            raise InvalidRemovalCount(f"s={s} short removals out of range 0..{counts.N_b}")
-        if counts.total - l - s < 1:
+        na, nb = counts.N_a, counts.N_b
+        if not (0 <= l <= na):
+            raise InvalidRemovalCount(f"l={l} long removals out of range 0..{format_count(na)}")
+        if not (0 <= s <= nb):
+            raise InvalidRemovalCount(f"s={s} short removals out of range 0..{format_count(nb)}")
+        if na + nb - l - s < 1:
             raise EmptyFractal("removal leaves no surviving tile")
         # (N_a - l, N_b - s): long and short tiles kept per level. Not a field, so
         # equality, hash, repr and pickling see only the spec's own values.
-        self.__dict__["survivor_counts"] = (counts.N_a - l, counts.N_b - s)
+        self.__dict__["survivor_counts"] = (na - l, nb - s)
         if policy == "explicit":
             if indices is None:
                 raise PolicyIndexMismatch("explicit policy requires removal indices")
@@ -74,16 +74,21 @@ CoverInterval = Tile
 class IntervalCover(Record):
     """The depth-k stage of the construction.
 
-    `intervals` is None for summary covers, which carry only the (exact)
-    length multiset; interval positions can always be re-streamed from the
-    spec.
+    Its exact length multiset needs no interval. `intervals` is walked on first
+    read, under the cap in force, unless `cover_at_depth` filled it under its own.
     """
 
-    _fields = ("spec", "depth", "intervals")
+    _fields = ("spec", "depth")
 
-    def __init__(self, spec: FractalSpec, depth: int,
-                 intervals: tuple[CoverInterval, ...] | None) -> None:
-        self.__dict__.update(spec=spec, depth=depth, intervals=intervals)
+    def __init__(self, spec: FractalSpec, depth: int) -> None:
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        self.__dict__.update(spec=spec, depth=depth)
+
+    @cached_property
+    def intervals(self) -> tuple[CoverInterval, ...]:
+        check_cover_cap(self.spec, self.depth)
+        return tuple(_walk(self.spec, self.depth))
 
     @property
     def count(self) -> int:
@@ -181,50 +186,38 @@ def _walk(spec: FractalSpec, depth: int) -> Iterator[CoverInterval]:
 
 
 def check_cover_cap(spec: FractalSpec, k: int, cap: int | None = None) -> None:
-    """Raise CapExceeded when the step-n word passes the letter cap, or the depth-k cover's
-    N'^k intervals pass `cap`: N' >= 2 passes it by the power (cap bit length + 1), so no
-    huge power is built; ~10^x is k*log10(N'). The count goes first: it needs no word."""
-    kept, limit = sum(spec.survivor_counts), resolve_cap(cap)
-    if kept ** min(k, limit.bit_length() + 1) > limit:
-        size = k * log10(kept)
-        count = format_count(kept**k) if size < 31 else f"~10^{size:.1f}"
-        raise CapExceeded(f"depth-{k} cover has {count} intervals, above cap {limit}")
+    """Raise CapExceeded when the depth-k cover's N'^k intervals pass `cap`, or the step-n
+    word passes the cap in force. The count goes first: it needs no word."""
+    check_cap(f"depth-{k} cover has {{}} intervals, above cap {{}}", sum(spec.survivor_counts),
+              k, cap)
     _survivor_pattern(spec)
 
 
 def refine(cover: IntervalCover) -> IntervalCover:
     """Replace every interval by the survivor pattern scaled into it."""
-    if cover.intervals is None:
-        raise ValidationError("refine needs a materialized cover")
     return cover_at_depth(cover.spec, cover.depth + 1)
 
 
 def cover_at_depth(spec: FractalSpec, k: int, cap: int | None = None) -> IntervalCover:
-    """Materialized depth-k cover (k-fold refinement of [0,1])."""
-    if k < 0:
-        raise ValueError("depth must be >= 0")
+    """Materialized depth-k cover (k-fold refinement of [0,1]), walked under `cap`."""
+    cover = IntervalCover(spec, k)
     check_cover_cap(spec, k, cap)
-    return IntervalCover(spec, k, tuple(_walk(spec, k)))
+    cover.__dict__["intervals"] = tuple(_walk(spec, k))
+    return cover
 
 
 def cover_summary(spec: FractalSpec, k: int) -> IntervalCover:
-    """Depth-k cover without interval positions (length multiset only)."""
-    if k < 0:
-        raise ValueError("depth must be >= 0")
-    return IntervalCover(spec, k, None)
+    """Depth-k cover whose intervals are walked only when read (the length multiset needs none)."""
+    return IntervalCover(spec, k)
 
 
 def iter_cover_intervals(spec: FractalSpec, k: int) -> Iterator[CoverInterval]:
     """Stream the depth-k cover left to right without materializing it."""
-    if k < 0:
-        raise ValueError("depth must be >= 0")
-    return _walk(spec, k)
+    return _walk(spec, IntervalCover(spec, k).depth)  # the record checks the depth
 
 
 def gaps(cover: IntervalCover) -> tuple[tuple[QuadElement, QuadElement], ...]:
     """Open complement of the cover in [0,1], as (start, length) pairs."""
-    if cover.intervals is None:
-        raise ValidationError("gaps need a materialized cover")
     params = cover.spec.params
     # a gap runs from one interval's end (or 0) to the next one's start (or 1)
     ends = [params.zero(), *(iv.end for iv in cover.intervals)]

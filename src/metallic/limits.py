@@ -1,9 +1,10 @@
-"""Enumeration caps, precision defaults and the optional mpmath import."""
+"""Enumeration caps and the one check of a count against them (`check_cap`), precision
+defaults and the optional mpmath import."""
 
 import os
 from math import log10
 
-from .errors import ValidationError
+from .errors import CapExceeded, ValidationError
 
 DEFAULT_CAP = 10_000_000
 DEFAULT_BITS = 128
@@ -23,13 +24,25 @@ def resolve_cap(explicit: int | None = None) -> int:
     return explicit
 
 
-def format_count(count: int) -> str:
-    """`count` for an error message: in full below 10^30, else as ~10^x.
+def format_count(base: int, power: int = 1) -> str:
+    """The count base**power for an error message: in full below 10^30, else as ~10^x.
 
     A long count is never converted to a string whole, which past 4300 digits
     Python refuses to do, and which would print a line of thousands of digits.
+    Nor is a power past 10^31 built: its x is power*log10(base).
     """
-    return str(count) if count < 10**30 else f"~10^{log10(count):.1f}"
+    size = power * log10(base)
+    if size < 31 and (count := base**power) < 10**30:
+        return str(count)
+    return f"~10^{log10(count) if size < 31 else size:.1f}"
+
+
+def check_cap(message: str, base: int, power: int = 1, cap: int | None = None) -> None:
+    """CapExceeded(message.format(format_count(base, power), cap)) when base**power passes
+    `resolve_cap(cap)`: a base of 2 or more passes it by the power (cap bit length + 1)."""
+    limit = resolve_cap(cap)
+    if base ** min(power, limit.bit_length() + 1) > limit:
+        raise CapExceeded(message.format(format_count(base, power), limit))
 
 
 def check_bits(bits: int) -> None:

@@ -19,8 +19,8 @@ from collections.abc import Iterator
 from itertools import accumulate, chain, pairwise, repeat
 
 from .errors import CapExceeded, Record
-from .fractal import FractalSpec, _child_layout, cover_at_depth  # noqa: F401
-from .limits import RENDER_CAP, format_count
+from .fractal import FractalSpec, _child_layout, _survivor_pattern, cover_at_depth  # noqa: F401
+from .limits import RENDER_CAP, check_cap
 from .quadfield import MEAN_SYMBOLS, MetallicParams, to_double
 from .substitution import tile_counts
 from .tiling import _inv_powers, _step_layout, tiling_at_step  # noqa: F401
@@ -123,9 +123,7 @@ def tiling_stack_lines(params: MetallicParams, n_max: int, plan: RenderPlan) -> 
     # (p + q - 1)*S(m) = a_{m+1} + q*a_m - 1; tile_counts gives a_n and q*a_{n-1}
     p, q, counts = params.p, params.q, tile_counts(params, n_max)
     total = 1 + ((p + 2 * q) * counts.N_a + (1 + q) * counts.N_b - 1 - q) // (p + q - 1)
-    if total > RENDER_CAP:
-        raise CapExceeded(
-            f"{format_count(total)} tiles across rows, above render cap {RENDER_CAP}")
+    check_cap("{} tiles across rows, above render cap {}", total, cap=RENDER_CAP)
     rows = (_tiling_row(params, n, f"step {n}") for n in range(n_max + 1))
     return _emit(rows, n_max + 1, plan, params)
 
@@ -142,7 +140,8 @@ def construction_lines(spec: FractalSpec, k_max: int, plan: RenderPlan) -> Itera
     if any(total > RENDER_CAP for total in accumulate(kept**k for k in range(1, k_max + 1))):
         raise CapExceeded(
             f"cover rows of depth 1..{k_max} draw more than render cap {RENDER_CAP} segments")
-    tiling = _tiling_row(spec.params, spec.n, "tiling")  # checks the word cap
+    tiling = _tiling_row(spec.params, spec.n, "tiling")  # checks the word against RENDER_CAP
+    _survivor_pattern(spec)  # and against the cap in force, for the cover rows
     return _emit(chain([tiling], _cover_rows(spec, k_max)), k_max + 1, plan, spec.params)
 
 

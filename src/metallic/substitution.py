@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import CapExceeded, Record
-from .limits import format_count, resolve_cap
+from .errors import Record
+from .limits import check_cap
 from .quadfield import MetallicParams
 
 
@@ -45,13 +45,8 @@ def word_length(params: MetallicParams, n: int) -> int:
 
 
 def word_at_step(params: MetallicParams, n: int, cap: int | None = None) -> str:
-    """The step-n word, materialized. Raises CapExceeded above the letter cap."""
-    if n < 0:
-        raise ValueError("step index must be >= 0")
-    limit = resolve_cap(cap)
-    length = word_length(params, n)
-    if length > limit:
-        raise CapExceeded(f"|W_{n}| = {format_count(length)} letters exceeds cap {limit}")
+    """The step-n word, materialized. CapExceeded above the letter cap; ValueError for n < 0."""
+    check_cap(f"|W_{n}| = {{}} letters exceeds cap {{}}", word_length(params, n), cap=cap)
     word = "b"
     for _ in range(n):
         word = substitute(word, params)

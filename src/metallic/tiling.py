@@ -20,10 +20,10 @@ from itertools import accumulate, repeat
 from math import ceil, isqrt, log2
 from operator import attrgetter
 
-from .errors import CapExceeded, Record
-from .limits import format_count, resolve_cap
+from .errors import Record
+from .limits import check_cap
 from .quadfield import MetallicParams, QuadElement, _element, gamma_pow
-from .substitution import tile_counts, word_at_step
+from .substitution import word_at_step, word_length
 
 
 class TileKind(enum.Enum):
@@ -95,18 +95,13 @@ def tiling_at_step(params: MetallicParams, n: int, cap: int | None = None) -> Ti
     """Build the step-n tiling with exact cumulative endpoints.
 
     Step 0 is the single short tile of length 1; for n >= 1 long tiles have
-    exponent n-1 and short tiles exponent n.
+    exponent n-1 and short tiles exponent n. A negative n is a ValueError, from `tile_counts`.
     """
-    if n < 0:
-        raise ValueError("step index must be >= 0")
-    limit = resolve_cap(cap)
-    count = tile_counts(params, n).total
-    if count > limit:
-        raise CapExceeded(f"step-{n} tiling has {format_count(count)} tiles, above cap {limit}")
-    return Tiling(params, n, tuple(map(Tile, repeat(params), *_step_layout(params, n, limit))))
+    check_cap(f"step-{n} tiling has {{}} tiles, above cap {{}}", word_length(params, n), cap=cap)
+    return Tiling(params, n, tuple(map(Tile, repeat(params), *_step_layout(params, n, cap))))
 
 
-def _step_layout(params: MetallicParams, n: int, cap: int) -> tuple:
+def _step_layout(params: MetallicParams, n: int, cap: int | None) -> tuple:
     """The step-n tiling in lazy columns of `Tile`'s arguments after params: the word (at most
     `cap` letters), numerators u, v of boundaries 0..|W_n| (the last is 1) over den q^n, exponents."""
     word = word_at_step(params, n, cap=cap)

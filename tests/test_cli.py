@@ -557,6 +557,44 @@ def test_negative_cap_rejected_by_every_subcommand(command, capsys):
     assert capsys.readouterr().err == "error: --cap must be >= 0, got -1\n"
 
 
+# each step word passes 5 letters and stays under 20,000
+CAP_PARITY_ARGV = {
+    "cover": ["cover", "--n", "20", "--depth", "0"],
+    "estimate": ["estimate", "--n", "20", "--remove-long", "6764", "--remove-short", "4181"],
+    "render": ["render", "--n", "15", "--remove-long", "609", "--remove-short", "377",
+               "--depth", "1"],
+    "dim": ["dim", "--n", "20", "--remove-long", "1", "--policy", "explicit", "--indices", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CAP_PARITY_ARGV))
+@pytest.mark.parametrize("env_cap, cap", [(None, "5"), ("5", "20000")])
+def test_cap_flag_is_metallic_cap_for_the_run(command, env_cap, cap):
+    # --cap X runs as METALLIC_CAP=X does, whatever the variable says: every check of the
+    # run, the step word's too, reads the one cap
+    def run(variable, *extra):
+        env = {name: value for name, value in CHILD_ENV.items() if name != "METALLIC_CAP"}
+        env.update({} if variable is None else {"METALLIC_CAP": variable})
+        result = subprocess.run([sys.executable, "-m", "metallic.cli",
+                                 *CAP_PARITY_ARGV[command], *extra],
+                                env=env, capture_output=True, text=True, timeout=60)
+        return result.returncode, result.stdout, result.stderr
+
+    flagged = run(env_cap, "--cap", cap)
+    assert flagged == run(cap)
+    assert flagged[0] == (3 if cap == "5" else 0)
+
+
+def test_removal_range_prints_a_long_count_as_a_power(capsys):
+    # N_b of the step-3,000,000 word has 626,963 digits: one short line, as ~10^x
+    with redirect_stdout(_NoOutput()):
+        assert main(["dim", "--n", "3000000", "--remove-short", "-1"]) == 2
+        assert main(["dim", "--n", "140", "--remove-long", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: s=-1 short removals out of range 0..~10^626962.4\n"
+        "error: l=-1 long removals out of range 0..81055900096023504197206408605\n")
+
+
 def test_cli_import_leaves_out_numpy():
     result = subprocess.run(
         [sys.executable, "-c", "import sys, metallic.cli; print('numpy' in sys.modules)"],

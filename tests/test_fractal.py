@@ -331,12 +331,18 @@ def test_refine_respects_the_cap(monkeypatch):
         refine(cover)  # depth 3 has 8 intervals
 
 
-def test_summary_cover_has_no_intervals():
+def test_summary_cover_walks_its_intervals_under_the_cap(monkeypatch):
+    # one cover mode: a summary cover's intervals are walked when first read, under the
+    # cap in force, so refine and gaps take it as they take a materialized one
+    cover, materialized = cover_summary(SPEC_411, 3), cover_at_depth(SPEC_411, 3)
+    assert cover == materialized and cover.intervals == materialized.intervals
+    assert refine(cover) == cover_at_depth(SPEC_411, 4)
+    assert gaps(cover_summary(SPEC_411, 3)) == gaps(materialized)
+    monkeypatch.setenv("METALLIC_CAP", "26")
     cover = cover_summary(SPEC_411, 3)
-    assert cover.intervals is None
-    with pytest.raises(ValidationError):
-        refine(cover)
-    with pytest.raises(ValidationError):
+    with pytest.raises(CapExceeded, match=r"\Adepth-3 cover has 27 intervals, above cap 26\Z"):
+        cover.intervals
+    with pytest.raises(CapExceeded):
         gaps(cover)
 
 

@@ -47,8 +47,7 @@ CASES = {
     "FractalSpec": (FractalSpec(GOLDEN, 4, 1, 1, policy="explicit", indices=(3, 1)),
                     FractalSpec(GOLDEN, 4, 1, 1, "explicit", (1, 3)),
                     FractalSpec(GOLDEN, 4, 1, 1, policy="explicit", indices=(2, 4))),
-    "IntervalCover": (IntervalCover(SPEC, 2, None), IntervalCover(SPEC, 2, None),
-                      IntervalCover(SPEC, 3, None)),
+    "IntervalCover": (IntervalCover(SPEC, 2), IntervalCover(SPEC, 2), IntervalCover(SPEC, 3)),
     "CharPoly": (POLY, CharPoly(4, 2, 1), CharPoly(4, 1, 2)),
     "DimensionReport": (DimensionReport(SPEC, POLY, 1.25, 0.5, 0.0),
                         DimensionReport(FractalSpec(GOLDEN, 4, 1, 1), POLY, 1.25, 0.5, 0.0),
@@ -67,7 +66,7 @@ FIELDS = {
     "CountVector": ("n", "N_a", "N_b"),
     "Tiling": ("params", "n", "tiles"),
     "FractalSpec": ("params", "n", "l", "s", "policy", "indices"),
-    "IntervalCover": ("spec", "depth", "intervals"),
+    "IntervalCover": ("spec", "depth"),
     "CharPoly": ("degree", "linear_coeff", "constant_coeff"),
     "DimensionReport": ("spec", "poly", "root", "dim", "root_residual"),
     "HausdorffSum": ("depth", "t", "value", "y"),

@@ -17,7 +17,7 @@ from metallic import (
     tiling_at_step,
     total_length,
 )
-from metallic.limits import format_count
+from metallic.limits import check_cap, format_count
 
 GOLDEN = MetallicParams(1, 1)
 SILVER = MetallicParams(2, 1)
@@ -128,6 +128,17 @@ def test_format_count_in_full_below_10_to_the_30():
     assert format_count(10**30 - 1) == "9" * 30
     assert format_count(10**30) == "~10^30.0"
     assert format_count(3 * 10**5000) == "~10^5000.5"
+
+
+@pytest.mark.parametrize("base, power", [
+    (10**30 - 1, 1), (10**30, 1), (10**31 - 1, 1), (10**31, 1),
+    (10**15 - 1, 2), (10, 30), (3, 63), (10, 31), (3, 65), (7, 36)])
+def test_a_count_near_10_to_the_30_prints_as_format_count(base, power):
+    # given as N or as N'^k, a count prints as format_count prints it whole
+    with pytest.raises(CapExceeded) as caught:
+        check_cap("{} counted, above cap {}", base, power, cap=10)
+    assert str(caught.value) == f"{format_count(base**power)} counted, above cap 10"
+    assert format_count(base, power) == format_count(base**power)
 
 
 def test_negative_step_rejected():
